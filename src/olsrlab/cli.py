@@ -78,10 +78,6 @@ def _parse_weights(text: str | None) -> FitnessWeights:
     return FitnessWeights(pdr=parts[0], nrl=parts[1], e2ed=parts[2])
 
 
-def _metrics_dict(metrics: QosMetrics) -> dict:
-    return {name: getattr(metrics, name) for name in QosMetrics.__dataclass_fields__}
-
-
 # -- simulate ----------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
@@ -102,7 +98,7 @@ def cmd_simulate(args) -> int:
         "config": label,
         "seed": args.seed,
         "weights": asdict(weights),
-        "metrics": _metrics_dict(metrics),
+        "metrics": asdict(metrics),
         "cost": cost,
     }
     print(f"{spec.name} config={label} seed={args.seed}: "

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
-from .olsr import HELLO, TC, MID, ControlMessage, NodeState, OlsrConfig
+from .olsr import ControlMessage, NodeState, OlsrConfig
 from .scenario import ScenarioSpec
 
 DATA_TTL_HOPS = 64   # hop budget for data packets
@@ -200,14 +200,15 @@ class Simulator:
                 self._schedule(t, "cbr-send", session.source, (si, k, session))
         self._schedule(duration, "sim-end", -1)
 
+        handlers = {kind: getattr(self, "_on_" + kind.replace("-", "_"))
+                    for kind in EVENT_ORDER if kind != "sim-end"}
         while self._heap:
             time, _, subject, _, kind, payload = heapq.heappop(self._heap)
             self.now = time
             if kind == "sim-end":
                 self._log(subject, kind, "")
                 break
-            handler = getattr(self, "_on_" + kind.replace("-", "_"))
-            handler(subject, payload)
+            handlers[kind](subject, payload)
         return collect_metrics(self.counters, duration)
 
     # -- handlers ---------------------------------------------------------

@@ -2,13 +2,13 @@
 
 Implements the table-driven protocol machinery each node runs: neighbor
 sensing from HELLO messages, multipoint relay (MPR) selection over the
-two-hop neighborhood, topology dissemination through TC floods, multiple
-interface declaration (MID), and shortest-path (hop count) route
-computation.  Every state transition is a deterministic function of
-(state, message, time), so a simulation can be replayed bit for bit.
+two-hop neighborhood, topology dissemination through TC floods, and
+shortest-path (hop count) route computation.  Every state transition is
+a deterministic function of (state, message, time), so a simulation can
+be replayed bit for bit.
 
 Timing knobs live in :class:`OlsrConfig`.  Validity times ride inside
-messages: a receiver honors the sender's hold times for TC/MID content
+messages: a receiver honors the sender's hold time for TC content
 but applies its *own* neighbor hold time to link sensing, which keeps
 mixed-configuration experiments well defined.
 """
@@ -16,13 +16,12 @@ mixed-configuration experiments well defined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 HELLO = "HELLO"
 TC = "TC"
-MID = "MID"
-MESSAGE_KINDS = (HELLO, TC, MID)
+MESSAGE_KINDS = (HELLO, TC)
 
 # Link codes carried in HELLO payload entries.
 LINK_ASYM = "asym"
@@ -33,7 +32,7 @@ WILL_NEVER = 0
 WILL_DEFAULT = 3
 WILL_ALWAYS = 7
 
-CONTROL_TTL = 255  # hop budget for flooded TC/MID messages
+CONTROL_TTL = 255  # hop budget for flooded TC messages
 MSG_HEADER_BYTES = 16
 MSG_ENTRY_BYTES = 8
 
@@ -47,6 +46,12 @@ class OlsrConfig:
 
     Defaults are the standard values: 2 s HELLO, 5 s TC, hold times of
     three message periods, and 30 s duplicate memory.
+
+    ``refresh_interval`` and ``mid_hold_time`` time multiple interface
+    declarations, which RFC 3626 section 5 sends only from nodes with more
+    than one interface.  Every simulated node has one, so these two of the
+    eight tuned dimensions have no effect on a simulation; they stay in the
+    encoding so that the tuning box matches the paper's.
     """
 
     hello_interval: float = 2.0
@@ -86,10 +91,6 @@ class OlsrConfig:
             raise ValueError("invalid OlsrConfig: " + "; ".join(problems))
         return self
 
-    @classmethod
-    def standard(cls) -> "OlsrConfig":
-        return cls()
-
     def as_vector(self) -> tuple[float, ...]:
         return (
             self.hello_interval,
@@ -110,7 +111,6 @@ class ControlMessage:
     payload layout by kind:
       HELLO -- tuple of (neighbor id, link code) pairs, plus ``willingness``
       TC    -- tuple of MPR-selector node ids
-      MID   -- tuple of declared interface addresses
     """
 
     kind: str
@@ -202,11 +202,9 @@ class NodeState:
     plain expiry refresh, so steady-state traffic is cheap.
     """
 
-    def __init__(self, self_id: int, config: OlsrConfig, *, now: float = 0.0,
-                 interfaces: tuple[int, ...] | None = None, rng=None):
+    def __init__(self, self_id: int, config: OlsrConfig, *, now: float = 0.0, rng=None):
         self.self_id = self_id
         self.config = config
-        self.interfaces = tuple(interfaces) if interfaces else (self_id,)
         # neighbor id -> _Link
         self.links: dict[int, _Link] = {}
         # (via neighbor, target) -> expiry
@@ -223,17 +221,11 @@ class NodeState:
         self.duplicates: dict[tuple[int, str, int], float] = {}
         # destination -> (next hop, hop count)
         self.routing: dict[int, tuple[int, int]] = {}
-        # interface address -> (main id, expiry)
-        self.iface_assoc: dict[int, tuple[int, float]] = {}
-        self._seq = {HELLO: 0, TC: 0, MID: 0}
+        self._seq = {HELLO: 0, TC: 0}
         self._next_emit = {
             HELLO: now + config.hello_interval - _jitter(rng, config.hello_interval),
             TC: now + config.tc_interval - _jitter(rng, config.tc_interval),
         }
-        if len(self.interfaces) > 1:
-            self._next_emit[MID] = (
-                now + config.refresh_interval - _jitter(rng, config.refresh_interval)
-            )
 
     # -- views ---------------------------------------------------------
 
@@ -254,8 +246,8 @@ class NodeState:
     def process_message(self, msg: ControlMessage, sender: int, now: float) -> bool:
         """Apply one received message; return whether to forward it.
 
-        Only TC and MID flood: the decision is True iff the message is not
-        a duplicate, has hop budget left, and arrived from a neighbor that
+        Only TC floods: the decision is True iff the message is not a
+        duplicate, has hop budget left, and arrived from a neighbor that
         selected us as MPR.  HELLO messages never travel more than one hop.
         """
         if msg.kind not in MESSAGE_KINDS:
@@ -265,15 +257,11 @@ class NodeState:
 
         neigh_changed = False
         topo_changed = False
+        forward = False
         if msg.kind == HELLO:
             neigh_changed = self._apply_hello(msg, sender, now)
-        elif msg.kind == TC:
-            topo_changed = self._apply_tc(msg, now)
         else:
-            self._apply_mid(msg, now)
-
-        forward = False
-        if msg.kind in (TC, MID):
+            topo_changed = self._apply_tc(msg, now)
             key = (msg.originator, msg.kind, msg.seq)
             if key not in self.duplicates and msg.ttl > 1 and sender in self.mpr_selectors:
                 forward = True
@@ -334,11 +322,6 @@ class NodeState:
             after.add(key)
         return before != after
 
-    def _apply_mid(self, msg: ControlMessage, now: float) -> None:
-        expiry = now + msg.validity_time
-        for addr in msg.payload:
-            self.iface_assoc[addr] = (msg.originator, expiry)
-
     # -- periodic emission ----------------------------------------------
 
     def emit_periodic(self, now: float, rng=None):
@@ -347,8 +330,7 @@ class NodeState:
         Returns (messages, next emission times by kind).  Emission times
         step by the configured interval minus a uniform jitter in
         [0, interval/4) when an rng is supplied.  A TC is withheld while
-        nobody selects us as relay; MID is withheld on single-interface
-        nodes; either way the schedule keeps ticking.
+        nobody selects us as relay, but the schedule keeps ticking.
         """
         messages = []
         cfg = self.config
@@ -359,9 +341,6 @@ class NodeState:
             self._next_emit[TC] = now + cfg.tc_interval - _jitter(rng, cfg.tc_interval)
             if self.mpr_selectors:
                 messages.append(self._make_tc())
-        if MID in self._next_emit and self._due(MID, now):
-            self._next_emit[MID] = now + cfg.refresh_interval - _jitter(rng, cfg.refresh_interval)
-            messages.append(self._make_mid())
         return messages, dict(self._next_emit)
 
     def next_emission(self) -> float:
@@ -403,17 +382,6 @@ class NodeState:
             ttl=CONTROL_TTL,
         )
 
-    def _make_mid(self) -> ControlMessage:
-        others = tuple(a for a in self.interfaces if a != self.self_id)
-        return ControlMessage(
-            kind=MID,
-            originator=self.self_id,
-            seq=self._bump_seq(MID),
-            payload=others,
-            validity_time=self.config.mid_hold_time,
-            ttl=CONTROL_TTL,
-        )
-
     # -- expiry ----------------------------------------------------------
 
     def purge_expired(self, now: float) -> bool:
@@ -440,9 +408,6 @@ class NodeState:
             removed = True
         for key in [k for k, exp in self.duplicates.items() if exp < now]:
             del self.duplicates[key]
-            removed = True
-        for addr in [a for a, (_, exp) in self.iface_assoc.items() if exp < now]:
-            del self.iface_assoc[addr]
             removed = True
         if removed:
             self._reselect_mprs()

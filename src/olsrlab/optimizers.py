@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -127,8 +127,8 @@ class RunRecord:
                 i for i, c, _ in self.trajectory if c == self.best.cost
             ),
             "best_cost": self.best.cost,
-            "best_config": _config_to_dict(self.best.config),
-            "best_metrics": _metrics_to_dict(self.best.metrics),
+            "best_config": asdict(self.best.config),
+            "best_metrics": asdict(self.best.metrics) if self.best.metrics is not None else None,
             "best_seed": self.best.seed,
         }
         if include_timing:
@@ -170,25 +170,6 @@ class RunRecord:
             time_to_best=summary.get("time_to_best", 0.0),
             total_time=summary.get("total_time", 0.0),
         )
-
-
-def _config_to_dict(config: OlsrConfig) -> dict:
-    return {
-        "hello_interval": config.hello_interval,
-        "refresh_interval": config.refresh_interval,
-        "tc_interval": config.tc_interval,
-        "willingness": config.willingness,
-        "neighb_hold_time": config.neighb_hold_time,
-        "top_hold_time": config.top_hold_time,
-        "mid_hold_time": config.mid_hold_time,
-        "dup_hold_time": config.dup_hold_time,
-    }
-
-
-def _metrics_to_dict(metrics: QosMetrics | None) -> dict | None:
-    if metrics is None:
-        return None
-    return {name: getattr(metrics, name) for name in QosMetrics.__dataclass_fields__}
 
 
 # -- budget bookkeeping ----------------------------------------------------

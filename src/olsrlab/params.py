@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .olsr import OlsrConfig
+from .olsr import HOLD_RANGE, INTERVAL_RANGE, WILL_ALWAYS, WILL_NEVER, OlsrConfig
 
 
 @dataclass(frozen=True)
@@ -57,18 +57,17 @@ class ParamSpace:
 
 
 def default_param_space() -> ParamSpace:
-    interval = (1.0, 30.0)
-    hold = (3.0, 100.0)
+    """The tuning box of :class:`OlsrConfig`, in ``as_vector`` order."""
     return ParamSpace(
         (
-            Dimension("hello_interval", *interval),
-            Dimension("refresh_interval", *interval),
-            Dimension("tc_interval", *interval),
-            Dimension("willingness", 0.0, 7.0, integer=True),
-            Dimension("neighb_hold_time", *hold),
-            Dimension("top_hold_time", *hold),
-            Dimension("mid_hold_time", *hold),
-            Dimension("dup_hold_time", *hold),
+            Dimension("hello_interval", *INTERVAL_RANGE),
+            Dimension("refresh_interval", *INTERVAL_RANGE),
+            Dimension("tc_interval", *INTERVAL_RANGE),
+            Dimension("willingness", float(WILL_NEVER), float(WILL_ALWAYS), integer=True),
+            Dimension("neighb_hold_time", *HOLD_RANGE),
+            Dimension("top_hold_time", *HOLD_RANGE),
+            Dimension("mid_hold_time", *HOLD_RANGE),
+            Dimension("dup_hold_time", *HOLD_RANGE),
         )
     )
 
@@ -84,14 +83,10 @@ def decode_params(raw, space: ParamSpace | None = None) -> OlsrConfig:
         if not math.isfinite(float(v)):
             raise ValueError(f"{name} is not finite: {v!r}")
     fields = {}
-    for dim, v in zip(space.dimensions, values, strict=True):
-        v = min(max(float(v), dim.lower), dim.upper)
+    for dim, v in zip(space.dimensions, space.clamp(values), strict=True):
         if dim.integer:
             # round half up, then clamp again in case of .5 at the edge
             v = int(min(max(math.floor(v + 0.5), dim.lower), dim.upper))
         fields[dim.name] = v
     return OlsrConfig(**fields).validate()
 
-
-def config_to_vector(config: OlsrConfig) -> tuple[float, ...]:
-    return config.as_vector()

@@ -8,7 +8,6 @@ tie handling, tie-corrected statistics, and chi-square p-values.
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
 

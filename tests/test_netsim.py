@@ -170,6 +170,16 @@ def test_doubling_the_control_rate_does_not_shed_overhead():
     assert eager.routing_tx >= standard.routing_tx
 
 
+@pytest.mark.parametrize("refresh,mid_hold", [(1.0, 3.0), (30.0, 100.0)])
+def test_mid_timing_has_no_effect_on_single_interface_nodes(refresh, mid_hold):
+    # deliberate deviation: every simulated node has one interface, so no
+    # MID is ever sent (RFC 3626 section 5) and these two tuned dimensions
+    # are inert at both ends of their ranges
+    spec = catalog()["congested-small"]
+    inert = OlsrConfig(refresh_interval=refresh, mid_hold_time=mid_hold)
+    assert run_simulation(spec, inert, 1) == run_simulation(spec, OlsrConfig(), 1)
+
+
 # ---------------------------------------------------------------------------
 # determinism and input validation
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from olsrlab.olsr import (
     LINK_ASYM,
     LINK_MPR,
     LINK_SYM,
-    MID,
     TC,
     WILL_ALWAYS,
     WILL_DEFAULT,
@@ -162,9 +161,10 @@ def test_own_messages_are_ignored():
     assert not state.links
 
 
-def test_unknown_message_kind_rejected():
+@pytest.mark.parametrize("kind", ["PING", "MID"])
+def test_unknown_message_kind_rejected(kind):
     state = NodeState(1, OlsrConfig())
-    bogus = ControlMessage("PING", 2, 1, (), 6.0, 1)
+    bogus = ControlMessage(kind, 2, 1, (), 6.0, 1)
     with pytest.raises(ValueError):
         state.process_message(bogus, 2, 0.0)
 
@@ -218,13 +218,6 @@ def test_tc_with_exhausted_ttl_is_consumed_not_forwarded():
     assert state.process_message(tc(9, (4,), ttl=1), 2, 1.0) is False
     assert not state.duplicates
     assert (4, 9) in state.topology
-
-
-def test_mid_records_interface_association():
-    state = NodeState(1, OlsrConfig())
-    msg = ControlMessage(MID, 9, 1, (21, 22), 15.0, CONTROL_TTL)
-    state.process_message(msg, 2, 4.0)
-    assert state.iface_assoc == {21: (9, 19.0), 22: (9, 19.0)}
 
 
 def test_forwarded_copy_decrements_ttl_and_counts_hop():
@@ -284,17 +277,6 @@ def test_hello_payload_is_sorted_with_mpr_codes():
     assert msg.payload == ((2, LINK_SYM), (3, LINK_MPR))
     assert msg.ttl == 1
     assert msg.willingness == state.config.willingness
-
-
-def test_mid_emitted_only_with_extra_interfaces():
-    plain = NodeState(1, OlsrConfig())
-    multi = NodeState(1, OlsrConfig(), interfaces=(1, 21))
-    for t in (2.0, 4.0):
-        assert MID not in [m.kind for m in plain.emit_periodic(t)[0]]
-    kinds = [m.kind for m in multi.emit_periodic(2.0)[0]]
-    assert MID in kinds
-    mid_msg = next(m for m in multi.emit_periodic(4.0)[0] if m.kind == MID)
-    assert mid_msg.payload == (21,)
 
 
 def test_emission_jitter_stays_within_quarter_interval():
@@ -397,7 +379,6 @@ def test_config_defaults_are_valid():
     cfg = OlsrConfig()
     assert cfg.validate() is cfg
     assert cfg.as_vector() == (2.0, 2.0, 5.0, 3.0, 6.0, 15.0, 15.0, 30.0)
-    assert OlsrConfig.standard() == cfg
 
 
 @pytest.mark.parametrize("field,value", [

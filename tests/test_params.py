@@ -10,7 +10,6 @@ from olsrlab.olsr import OlsrConfig
 from olsrlab.params import (
     Dimension,
     ParamSpace,
-    config_to_vector,
     decode_params,
     default_param_space,
 )
@@ -38,7 +37,7 @@ def test_clamp_pins_to_bounds():
 def test_standard_vector_decodes_to_standard_config():
     assert decode_params((2.0, 2.0, 5.0, 3.0, 6.0, 15.0, 15.0, 30.0)) == OlsrConfig()
     cfg = OlsrConfig()
-    assert decode_params(config_to_vector(cfg)) == cfg
+    assert decode_params(cfg.as_vector()) == cfg
 
 
 @pytest.mark.parametrize("raw,expected", [
