@@ -274,7 +274,10 @@ class Simulator:
     def _on_frame_txend(self, node_id: int, tx: _Transmission) -> None:
         node = self.nodes[node_id]
         frame = tx.frame
-        self._transmissions = [t for t in self._transmissions if t.end > self.now - 0.05]
+        # a transmission that ended before every one still on the air (this
+        # one included) began overlaps none of them, nor any later one
+        horizon = min(t.start for t in self._transmissions if t.end >= self.now)
+        self._transmissions = [t for t in self._transmissions if t.end > horizon]
         delay = self.scenario.radio_mac.processing_delay
         if frame.dest is None:
             for other in self.nodes:

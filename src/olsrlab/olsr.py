@@ -197,9 +197,23 @@ class _Link(NamedTuple):
 class NodeState:
     """Per-node protocol state plus the transition rules that mutate it.
 
-    The repositories this feeds (routing table, MPR set) are recomputed
-    eagerly whenever the underlying sets change membership, never on a
-    plain expiry refresh, so steady-state traffic is cheap.
+    Each event costs work in proportion to what it changed:
+
+    * ``_next_expiry`` is a lower bound on every stored expiry; every write
+      of an expiry lowers it.  :meth:`purge_expired` returns at once while
+      ``now`` has not passed it, and after a sweep sets it to the earliest
+      expiry left.
+    * ``two_hop`` is bucketed by the neighbor that advertised it, so a
+      HELLO replaces one bucket and a lost link drops one.
+    * The MPR set is a pure function of the symmetric links and the
+      two-hop set.  A change to either marks it stale, and it is selected
+      again when next read (``mprs``, ``uncoverable``).
+    * The routing table depends on the links and the topology only.  It
+      stays eager, because the simulator reads ``routing`` directly, and
+      is recomputed when a link appears, disappears or changes status or
+      willingness, or a topology tuple appears or disappears; an expiry
+      refresh or a change to the two-hop set, the MPR selectors or the
+      duplicate set leaves it alone.
     """
 
     def __init__(self, self_id: int, config: OlsrConfig, *, now: float = 0.0, rng=None):
@@ -207,10 +221,10 @@ class NodeState:
         self.config = config
         # neighbor id -> _Link
         self.links: dict[int, _Link] = {}
-        # (via neighbor, target) -> expiry
-        self.two_hop: dict[tuple[int, int], float] = {}
-        self.mprs: set[int] = set()
-        self.uncoverable: frozenset = frozenset()
+        # advertising neighbor -> {target: expiry}; no bucket is empty
+        self.two_hop: dict[int, dict[int, float]] = {}
+        # the MPR selection, or None once links or two-hop entries changed
+        self._selection: MprSelection | None = MprSelection(frozenset(), frozenset())
         # neighbor id -> expiry
         self.mpr_selectors: dict[int, float] = {}
         # (destination, last hop) -> (seq, expiry)
@@ -219,6 +233,8 @@ class NodeState:
         self._topo_seq: dict[int, int] = {}
         # (originator, kind, seq) -> expiry
         self.duplicates: dict[tuple[int, str, int], float] = {}
+        # no stored tuple expires before this time
+        self._next_expiry = math.inf
         # destination -> (next hop, hop count)
         self.routing: dict[int, tuple[int, int]] = {}
         self._seq = {HELLO: 0, TC: 0}
@@ -237,9 +253,18 @@ class NodeState:
         sym = self.symmetric_neighbors()
         return {
             (via, target)
-            for (via, target) in self.two_hop
-            if via in sym and target not in sym and target != self.self_id
+            for via in sym
+            for target in self.two_hop.get(via, ())
+            if target not in sym and target != self.self_id
         }
+
+    @property
+    def mprs(self) -> frozenset:
+        return self._mpr_selection().mprs
+
+    @property
+    def uncoverable(self) -> frozenset:
+        return self._mpr_selection().uncoverable
 
     # -- message processing --------------------------------------------
 
@@ -255,53 +280,54 @@ class NodeState:
         if msg.originator == self.self_id:
             return False
 
-        neigh_changed = False
-        topo_changed = False
-        forward = False
         if msg.kind == HELLO:
-            neigh_changed = self._apply_hello(msg, sender, now)
-        else:
-            topo_changed = self._apply_tc(msg, now)
-            key = (msg.originator, msg.kind, msg.seq)
-            if key not in self.duplicates and msg.ttl > 1 and sender in self.mpr_selectors:
-                forward = True
-                self.duplicates[key] = now + self.config.dup_hold_time
+            links_changed, two_hop_changed = self._apply_hello(msg, sender, now)
+            if links_changed or two_hop_changed:
+                self._selection = None
+            if links_changed:
+                self.compute_routing_table()
+            return False
 
-        if neigh_changed:
-            self._reselect_mprs()
-        if neigh_changed or topo_changed:
+        if self._apply_tc(msg, now):
             self.compute_routing_table()
-        return forward
+        key = (msg.originator, msg.kind, msg.seq)
+        if key in self.duplicates or msg.ttl <= 1 or sender not in self.mpr_selectors:
+            return False
+        expiry = now + self.config.dup_hold_time
+        self.duplicates[key] = expiry
+        self._next_expiry = min(self._next_expiry, expiry)
+        return True
 
-    def _apply_hello(self, msg: ControlMessage, sender: int, now: float) -> bool:
-        changed = False
-        heard_us = any(nbr == self.self_id for nbr, _ in msg.payload)
-        old = self.links.get(sender)
-        status = LINK_SYM if heard_us else (old.status if old else LINK_ASYM)
-        if old is not None and old.status == LINK_SYM and not heard_us:
-            # the sender no longer hears us: drop back to one-way
-            status = LINK_ASYM
-        will = msg.willingness if msg.willingness is not None else WILL_DEFAULT
-        if old is None or old.status != status or old.willingness != will:
-            changed = True
-        self.links[sender] = _Link(status, now + self.config.neighb_hold_time, will)
-
+    def _apply_hello(self, msg: ControlMessage, sender: int, now: float) -> tuple[bool, bool]:
+        """Return whether the links and whether the two-hop set changed membership."""
+        heard_us = selected_us = False
+        expiry = now + msg.validity_time
         # two-hop entries come from the sender's symmetric links only
-        listed_sym = set()
+        bucket = {}
         for nbr, code in msg.payload:
-            if code in (LINK_SYM, LINK_MPR) and nbr != self.self_id:
-                listed_sym.add(nbr)
-                key = (sender, nbr)
-                if key not in self.two_hop:
-                    changed = True
-                self.two_hop[key] = now + msg.validity_time
-        for key in [k for k in self.two_hop if k[0] == sender and k[1] not in listed_sym]:
-            del self.two_hop[key]
-            changed = True
+            if nbr == self.self_id:
+                heard_us = True
+                selected_us = selected_us or code == LINK_MPR
+            elif code in (LINK_SYM, LINK_MPR):
+                bucket[nbr] = expiry
 
-        if any(nbr == self.self_id and code == LINK_MPR for nbr, code in msg.payload):
-            self.mpr_selectors[sender] = now + msg.validity_time
-        return changed
+        # the sender is symmetric while it hears us, one-way otherwise
+        status = LINK_SYM if heard_us else LINK_ASYM
+        will = msg.willingness if msg.willingness is not None else WILL_DEFAULT
+        old = self.links.get(sender)
+        links_changed = old is None or old.status != status or old.willingness != will
+        link_expiry = now + self.config.neighb_hold_time
+        self.links[sender] = _Link(status, link_expiry, will)
+
+        old_bucket = self.two_hop.pop(sender, {})
+        if bucket:
+            self.two_hop[sender] = bucket
+        two_hop_changed = bucket.keys() != old_bucket.keys()
+
+        if selected_us:
+            self.mpr_selectors[sender] = expiry
+        self._next_expiry = min(self._next_expiry, link_expiry, expiry)
+        return links_changed, two_hop_changed
 
     def _apply_tc(self, msg: ControlMessage, now: float) -> bool:
         origin = msg.originator
@@ -320,6 +346,7 @@ class NodeState:
             key = (dest, origin)
             self.topology[key] = (msg.seq, expiry)
             after.add(key)
+        self._next_expiry = min(self._next_expiry, expiry)
         return before != after
 
     # -- periodic emission ----------------------------------------------
@@ -354,14 +381,9 @@ class NodeState:
         return self._seq[kind]
 
     def _make_hello(self) -> ControlMessage:
-        entries = []
-        for nbr in sorted(self.links):
-            link = self.links[nbr]
-            if nbr in self.mprs:
-                code = LINK_MPR
-            else:
-                code = link.status
-            entries.append((nbr, code))
+        mprs = self.mprs
+        entries = [(nbr, LINK_MPR if nbr in mprs else self.links[nbr].status)
+                   for nbr in sorted(self.links)]
         return ControlMessage(
             kind=HELLO,
             originator=self.self_id,
@@ -387,39 +409,50 @@ class NodeState:
     def purge_expired(self, now: float) -> bool:
         """Drop every tuple whose expiry lies strictly in the past.
 
-        Losing a link cascades: two-hop entries reached through that
+        Losing a link cascades: the two-hop bucket advertised by that
         neighbor and its MPR-selector registration go with it.  Returns
-        True when anything was removed, in which case the MPR set and
-        routing table have been recomputed.
+        True when anything was removed.  Costs O(1) while ``now`` has not
+        passed the earliest-expiry watermark.
         """
-        removed = False
-        for nbr in [n for n, l in self.links.items() if l.expiry < now]:
+        if now <= self._next_expiry:
+            return False
+        dead_links = [n for n, l in self.links.items() if l.expiry < now]
+        for nbr in dead_links:
             del self.links[nbr]
-            removed = True
-        for key in [k for k, exp in self.two_hop.items() if exp < now or k[0] not in self.links]:
-            del self.two_hop[key]
-            removed = True
-        for nbr in [n for n, exp in self.mpr_selectors.items()
-                    if exp < now or n not in self.links]:
-            del self.mpr_selectors[nbr]
-            removed = True
-        for key in [k for k, (_, exp) in self.topology.items() if exp < now]:
+            self.two_hop.pop(nbr, None)
+            self.mpr_selectors.pop(nbr, None)
+        two_hop_removed = False
+        for via, bucket in list(self.two_hop.items()):
+            two_hop_removed |= _drop_expired(bucket, now)
+            if not bucket:
+                del self.two_hop[via]
+        dead_topology = [k for k, (_, exp) in self.topology.items() if exp < now]
+        for key in dead_topology:
             del self.topology[key]
-            removed = True
-        for key in [k for k, exp in self.duplicates.items() if exp < now]:
-            del self.duplicates[key]
-            removed = True
-        if removed:
-            self._reselect_mprs()
+        other_removed = _drop_expired(self.mpr_selectors, now)
+        other_removed |= _drop_expired(self.duplicates, now)
+
+        self._next_expiry = min(
+            [l.expiry for l in self.links.values()]
+            + [exp for bucket in self.two_hop.values() for exp in bucket.values()]
+            + [exp for _, exp in self.topology.values()]
+            + list(self.mpr_selectors.values())
+            + list(self.duplicates.values()),
+            default=math.inf,
+        )
+        if dead_links or two_hop_removed:
+            self._selection = None
+        if dead_links or dead_topology:
             self.compute_routing_table()
-        return removed
+        return bool(dead_links or two_hop_removed or dead_topology or other_removed)
 
     # -- derived tables ---------------------------------------------------
 
-    def _reselect_mprs(self) -> None:
-        selection = select_mprs(self.symmetric_neighbors().items(), self.strict_two_hop())
-        self.mprs = set(selection.mprs)
-        self.uncoverable = selection.uncoverable
+    def _mpr_selection(self) -> MprSelection:
+        if self._selection is None:
+            self._selection = select_mprs(self.symmetric_neighbors().items(),
+                                          self.strict_two_hop())
+        return self._selection
 
     def compute_routing_table(self) -> dict[int, tuple[int, int]]:
         self.routing = compute_routing_table(self)
@@ -460,6 +493,14 @@ def compute_routing_table(state: NodeState) -> dict[int, tuple[int, int]]:
             via[v] = nh
         frontier = list(layer)
     return {d: (via[d], dist[d]) for d in sorted(dist) if d != state.self_id}
+
+
+def _drop_expired(table: dict, now: float) -> bool:
+    """Delete every entry of a key -> expiry table that lies strictly in the past."""
+    dead = [key for key, expiry in table.items() if expiry < now]
+    for key in dead:
+        del table[key]
+    return bool(dead)
 
 
 def _jitter(rng, interval: float) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass, field, asdict
 
@@ -109,14 +110,16 @@ class MobilityTrace:
         return self
 
 
+_waypoint_time = operator.itemgetter(0)
+
+
 def position_at(points, time: float) -> tuple[float, float]:
     """Linear interpolation along a waypoint list, clamped at both ends."""
     if time <= points[0][0]:
         return points[0][1], points[0][2]
     if time >= points[-1][0]:
         return points[-1][1], points[-1][2]
-    times = [p[0] for p in points]
-    i = bisect.bisect_right(times, time)
+    i = bisect.bisect_right(points, time, key=_waypoint_time)
     t0, x0, y0 = points[i - 1]
     t1, x1, y1 = points[i]
     frac = (time - t0) / (t1 - t0)

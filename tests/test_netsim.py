@@ -1,6 +1,8 @@
 """Event-driven network simulator: delivery, losses, metrics, determinism."""
 
 import io
+import math
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +10,7 @@ from olsrlab.netsim import (
     DATA_TTL_HOPS,
     Counters,
     DataPacket,
+    QosMetrics,
     Simulator,
     collect_metrics,
     run_simulation,
@@ -137,6 +140,45 @@ def test_hidden_terminals_collide_until_the_retry_budget_dies(seed):
     assert sim.counters.dropped_mac == 40
 
 
+class _CollisionAudit(Simulator):
+    """Checks every collision verdict against the full transmission history."""
+
+    def __init__(self, *args, **kwargs):
+        self.history = []
+        self.verdicts = []
+        super().__init__(*args, **kwargs)
+
+    def _schedule(self, time, kind, subject, payload=None):
+        if kind == "frame-txend":
+            self.history.append(payload)
+        super()._schedule(time, kind, subject, payload)
+
+    def _corrupted(self, tx, receiver, receiver_pos):
+        got = super()._corrupted(tx, receiver, receiver_pos)
+        tx_range = self.scenario.radio_mac.tx_range
+        want = any(
+            other is not tx and other.start < tx.end and tx.start < other.end
+            and (other.transmitter == receiver
+                 or math.dist(receiver_pos, other.pos) <= tx_range)
+            for other in self.history)
+        self.verdicts.append((got, want))
+        return got
+
+
+def test_collision_test_remembers_frames_longer_than_a_short_window():
+    # at 20 kbps a 512-byte data frame is on the air for 0.2 s, so a frame
+    # that overlapped it may have ended well before it does; the verdict
+    # must still count that overlap
+    base = catalog()["congested-small"]
+    spec = replace(base, radio_mac=replace(base.radio_mac, bandwidth=20e3)).validate()
+    sim = _CollisionAudit(spec, OlsrConfig(), 3)
+    sim.run()
+    assert any(want for _, want in sim.verdicts)
+    missed = sum(want and not got for got, want in sim.verdicts)
+    assert missed == 0
+    assert all(got == want for got, want in sim.verdicts)
+
+
 def test_hop_budget_drop():
     sim = Simulator(catalog()["static-mesh-smoke"], OlsrConfig(), 1)
     stale = DataPacket((0, 0), 0, 4, 0.0, 512, hop_count=DATA_TTL_HOPS)
@@ -178,6 +220,25 @@ def test_mid_timing_has_no_effect_on_single_interface_nodes(refresh, mid_hold):
     spec = catalog()["congested-small"]
     inert = OlsrConfig(refresh_interval=refresh, mid_hold_time=mid_hold)
     assert run_simulation(spec, inert, 1) == run_simulation(spec, OlsrConfig(), 1)
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("static-mesh-smoke", QosMetrics(
+        pdr=1.0, nrl=0.5958333333333333, e2ed=0.001071453259661448, rpl=1.0,
+        data_sent=480, data_delivered=480, data_dropped=0, data_in_flight=0,
+        routing_tx=286)),
+    ("congested-small", QosMetrics(
+        pdr=0.875, nrl=1.1542857142857144, e2ed=0.0012924634074108962,
+        rpl=1.2057142857142857, data_sent=400, data_delivered=350, data_dropped=50,
+        data_in_flight=0, routing_tx=404)),
+    ("u1-low", QosMetrics(
+        pdr=1.0, nrl=1.885, e2ed=0.0010936904194248183, rpl=1.0, data_sent=600,
+        data_delivered=600, data_dropped=0, data_in_flight=0, routing_tx=1131)),
+])
+def test_bundled_scenarios_reproduce_their_pinned_metrics(name, expected):
+    # exact values: any change to the protocol core or the channel that is
+    # meant to be behaviour-preserving must leave every field bit for bit
+    assert run_simulation(catalog()[name], OlsrConfig(), 1) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,11 @@ def tc(origin, selectors, *, seq=1, validity=15.0, ttl=CONTROL_TTL):
     return ControlMessage(TC, origin, seq, tuple(selectors), validity, ttl)
 
 
+def two_hop_pairs(state):
+    """The two-hop set as (via neighbor, target) pairs."""
+    return {(via, target) for via, bucket in state.two_hop.items() for target in bucket}
+
+
 def test_select_mprs_worked_example():
     # 5 reachable only via 2, 6 only via 3; 4 then already covered by 2
     will = {1: 3, 2: 3, 3: 3}
@@ -124,7 +129,7 @@ def test_hello_link_expiry_uses_receiver_hold_time():
     state = NodeState(1, OlsrConfig(neighb_hold_time=6.0))
     state.process_message(hello(2, [(1, LINK_SYM), (7, LINK_SYM)], validity=99.0), 2, 10.0)
     assert state.links[2].expiry == 16.0
-    assert state.two_hop[(2, 7)] == 109.0
+    assert state.two_hop[2][7] == 109.0
 
 
 def test_hello_two_hop_set_tracks_senders_symmetric_links():
@@ -132,10 +137,10 @@ def test_hello_two_hop_set_tracks_senders_symmetric_links():
     msg = hello(2, [(1, LINK_SYM), (5, LINK_SYM), (6, LINK_MPR), (7, LINK_ASYM)])
     state.process_message(msg, 2, 0.0)
     # asym entries and ourselves never enter the two-hop set
-    assert set(state.two_hop) == {(2, 5), (2, 6)}
+    assert two_hop_pairs(state) == {(2, 5), (2, 6)}
     # 5 no longer listed: pruned
     state.process_message(hello(2, [(1, LINK_SYM), (6, LINK_SYM)], seq=2), 2, 2.0)
-    assert set(state.two_hop) == {(2, 6)}
+    assert two_hop_pairs(state) == {(2, 6)}
 
 
 def test_hello_registers_mpr_selector():
@@ -312,7 +317,7 @@ def test_purge_boundary_is_strictly_in_the_past():
 def test_purge_cascades_through_a_dead_link():
     state = NodeState(1, OlsrConfig(neighb_hold_time=6.0))
     state.process_message(hello(2, [(1, LINK_MPR), (5, LINK_SYM)], validity=50.0), 2, 0.0)
-    assert (2, 5) in state.two_hop and 2 in state.mpr_selectors
+    assert (2, 5) in two_hop_pairs(state) and 2 in state.mpr_selectors
     assert state.routing == {2: (2, 1)}
     assert state.purge_expired(7.0) is True
     assert not state.links and not state.two_hop and not state.mpr_selectors

@@ -1,0 +1,127 @@
+"""Property test: the incremental protocol core equals recomputation from scratch.
+
+A node state is driven through random sequences of HELLO and TC messages
+and expiry sweeps at nondecreasing times.  After every step the stored MPR
+set and routing table must equal what a fresh computation over the
+current state gives, and every sweep must leave nothing expired behind.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from olsrlab.olsr import (
+    CONTROL_TTL,
+    HELLO,
+    LINK_ASYM,
+    LINK_MPR,
+    LINK_SYM,
+    TC,
+    ControlMessage,
+    NodeState,
+    OlsrConfig,
+    compute_routing_table,
+    select_mprs,
+)
+
+from oracles import coverage_sets
+
+SELF = 0
+NEIGHBORS = st.integers(min_value=1, max_value=3)  # may send us a HELLO
+NODES = st.integers(min_value=1, max_value=5)
+CODES = st.sampled_from([LINK_ASYM, LINK_SYM, LINK_MPR])
+
+# a HELLO usually lists us, so links turn symmetric and two-hop sets matter
+hellos = st.tuples(
+    st.just("hello"),
+    NEIGHBORS,
+    st.sampled_from([(), ((SELF, LINK_ASYM),), ((SELF, LINK_SYM),), ((SELF, LINK_MPR),),
+                     ((SELF, LINK_MPR),)]),
+    st.lists(st.tuples(NODES, CODES), max_size=4),
+)
+tcs = st.tuples(
+    st.just("tc"),
+    NEIGHBORS,
+    NODES,
+    st.lists(st.integers(min_value=0, max_value=5), max_size=4),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([1, CONTROL_TTL, CONTROL_TTL]),
+)
+purges = st.just(("purge",))
+# HELLOs come twice as often as TCs or purges, as in a simulation
+steps = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0]),
+              st.one_of(hellos, hellos, tcs, purges)),
+    min_size=8, max_size=60,
+)
+configs = st.builds(
+    lambda neighb, dup: OlsrConfig(neighb_hold_time=neighb, dup_hold_time=dup),
+    st.sampled_from([3.0, 6.0, 20.0]),
+    st.sampled_from([3.0, 30.0]),
+)
+# each node advertises one willingness and one validity per message kind,
+# as in a simulation: (willingness, HELLO validity, TC validity)
+profiles = st.fixed_dictionaries({
+    n: st.tuples(st.sampled_from([0, 3, 3, 7]), st.sampled_from([2.0, 6.0, 15.0]),
+                 st.sampled_from([3.0, 15.0]))
+    for n in range(1, 6)
+})
+
+
+def expiries(state):
+    """Every stored (table, key, expiry), read straight from the tables."""
+    out = [("links", n, link.expiry) for n, link in state.links.items()]
+    out += [("two_hop", (via, target), exp)
+            for via, bucket in state.two_hop.items() for target, exp in bucket.items()]
+    out += [("mpr_selectors", n, exp) for n, exp in state.mpr_selectors.items()]
+    out += [("topology", key, exp) for key, (_, exp) in state.topology.items()]
+    out += [("duplicates", key, exp) for key, exp in state.duplicates.items()]
+    return out
+
+
+def check_derived_tables(state):
+    will = state.symmetric_neighbors()
+    strict = {(via, target)
+              for via, bucket in state.two_hop.items() for target in bucket
+              if via in will and target not in will and target != SELF}
+    assert state.strict_two_hop() == strict
+
+    fresh = select_mprs(will.items(), strict)
+    assert state.mprs == fresh.mprs
+    assert state.uncoverable == fresh.uncoverable
+    for target, vias in coverage_sets(will, strict).items():
+        if vias:
+            assert vias & state.mprs, (target, vias, state.mprs)
+        else:
+            assert target in state.uncoverable
+
+    assert state.routing == compute_routing_table(state)
+
+
+@settings(max_examples=400, deadline=None)
+@given(configs, profiles, steps)
+def test_incremental_core_matches_recomputation(config, profile, plan):
+    state = NodeState(SELF, config)
+    now = 0.0
+    for dt, (kind, *step) in plan:
+        now += dt
+        if kind == "purge":
+            before = expiries(state)
+            removed = state.purge_expired(now)
+            after = expiries(state)
+            assert all(exp >= now for _, _, exp in after)
+            assert removed == (after != before)
+            assert state.purge_expired(now) is False
+        elif kind == "hello":
+            sender, us, entries = step
+            will, validity, _ = profile[sender]
+            msg = ControlMessage(HELLO, sender, 1, us + tuple(entries), validity, 1,
+                                 willingness=will)
+            state.process_message(msg, sender, now)
+        else:
+            sender, origin, selectors, seq, ttl = step
+            validity = profile[origin][2]
+            msg = ControlMessage(TC, origin, seq, tuple(selectors), validity, ttl)
+            state.process_message(msg, sender, now)
+        # the watermark the expiry sweep skips on is a lower bound
+        assert all(state._next_expiry <= exp for _, _, exp in expiries(state))
+        check_derived_tables(state)

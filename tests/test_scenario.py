@@ -69,6 +69,25 @@ def test_position_interpolates_and_clamps():
     assert position_at(points, 12.5) == (25.0, 12.5)
 
 
+def test_position_at_matches_a_linear_scan_including_exact_waypoint_times():
+    trace = generate_random_waypoint((400.0, 300.0), 3, 60.0, URBAN_SPEED_RANGE, seed=5)
+    for points in trace.waypoints.values():
+        times = [t for t, _, _ in points]
+        probes = times + [(a + b) / 2.0 for a, b in zip(times, times[1:])]
+        for time in probes:
+            # the last waypoint at or before ``time`` starts the segment
+            k = max(j for j, t in enumerate(times) if t <= time)
+            if k == len(points) - 1:
+                want = points[k][1:]
+            else:
+                (t0, x0, y0), (t1, x1, y1) = points[k], points[k + 1]
+                frac = (time - t0) / (t1 - t0)
+                want = (x0 + frac * (x1 - x0), y0 + frac * (y1 - y0))
+            assert position_at(points, time) == want
+        for t, x, y in points:
+            assert position_at(points, t) == (x, y)
+
+
 # ---------------------------------------------------------------------------
 # random waypoint mobility
 # ---------------------------------------------------------------------------
