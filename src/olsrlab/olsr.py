@@ -223,8 +223,9 @@ class NodeState:
         self.links: dict[int, _Link] = {}
         # advertising neighbor -> {target: expiry}; no bucket is empty
         self.two_hop: dict[int, dict[int, float]] = {}
-        # the MPR selection, or None once links or two-hop entries changed
-        self._selection: MprSelection | None = MprSelection(frozenset(), frozenset())
+        # the MPR selection; None until made, and again once links or
+        # two-hop entries change
+        self._selection: MprSelection | None = None
         # neighbor id -> expiry
         self.mpr_selectors: dict[int, float] = {}
         # (destination, last hop) -> (seq, expiry)
