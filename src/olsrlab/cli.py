@@ -53,19 +53,18 @@ def _resolve_scenario(name: str) -> scenario_mod.ScenarioSpec:
     raise ValueError(f"unknown scenario {name!r}; bundled: {', '.join(sorted(cat))}")
 
 
-def _resolve_config(name: str) -> tuple[str, OlsrConfig, bool]:
-    """Returns (label, config, validation waiver)."""
+def _resolve_config(name: str) -> tuple[str, OlsrConfig]:
     named = configs_mod.named_configs()
     if name in named:
         entry = named[name]
-        return entry.label, entry.config, entry.waiver
+        return entry.label, entry.config
     if os.path.exists(name):
         with open(name) as fh:
             doc = json.load(fh)
         if doc.get("format") != CONFIG_FORMAT:
             raise ValueError(f"{name}: unsupported config format {doc.get('format')!r}")
         fields = {k: v for k, v in doc.items() if k != "format"}
-        return os.path.basename(name), OlsrConfig(**fields), False
+        return os.path.basename(name), OlsrConfig(**fields)
     raise ValueError(f"unknown config {name!r}; bundled: {', '.join(sorted(named))}")
 
 
@@ -82,12 +81,11 @@ def _parse_weights(text: str | None) -> FitnessWeights:
 
 def cmd_simulate(args) -> int:
     spec = _resolve_scenario(args.scenario)
-    label, config, waiver = _resolve_config(args.config)
+    label, config = _resolve_config(args.config)
     weights = _parse_weights(args.weights)
     log_fh = open(args.event_log, "w") if args.event_log else None
     try:
-        metrics = run_simulation(spec, config, args.seed, event_log=log_fh,
-                                 waive_config_validation=waiver or args.allow_invalid_config)
+        metrics = run_simulation(spec, config, args.seed, event_log=log_fh)
     finally:
         if log_fh:
             log_fh.close()
@@ -243,18 +241,17 @@ def cmd_optimize(args) -> int:
 
 # -- compare -----------------------------------------------------------------
 
-def _best_configs_from_records(runs_dir: str) -> list[tuple[str, OlsrConfig, bool]]:
+def _best_configs_from_records(runs_dir: str) -> list[tuple[str, OlsrConfig]]:
     by_alg = _campaign_records(runs_dir)
     out = []
     for algorithm, records in sorted(by_alg.items()):
         best = min(records, key=lambda r: r.best_cost)
-        out.append((f"best-{algorithm.lower()}", best.best.config, False))
+        out.append((f"best-{algorithm.lower()}", best.best.config))
     return out
 
 
 def cmd_compare(args) -> int:
-    weights = _parse_weights(args.weights)
-    entries: list[tuple[str, OlsrConfig, bool]] = []
+    entries: list[tuple[str, OlsrConfig]] = []
     if args.configs:
         for name in args.configs.split(","):
             entries.append(_resolve_config(name.strip()))
@@ -267,10 +264,9 @@ def cmd_compare(args) -> int:
 
     cells = []
     per_config_all: dict[str, list[QosMetrics]] = {}
-    for label, config, waiver in entries:
+    for label, config in entries:
         for spec in scenarios:
-            runs = [run_simulation(spec, config, s, waive_config_validation=waiver)
-                    for s in seeds]
+            runs = [run_simulation(spec, config, s) for s in seeds]
             med = {f: statistics.median(getattr(m, f) for m in runs)
                    for f in METRIC_FIELDS}
             cells.append({"config": label, "scenario": spec.name, **med})
@@ -299,7 +295,7 @@ def cmd_compare(args) -> int:
                             + [repr(c[f]) for f in METRIC_FIELDS]
                             + [int(c[f"{f}_best"]) for f in METRIC_FIELDS])
     _atomic_write(os.path.join(args.outdir, "compare.json"),
-                  json.dumps({"weights": asdict(weights), "seeds": seeds,
+                  json.dumps({"seeds": seeds,
                               "cells": sorted(cells, key=lambda c: (c["scenario"], c["config"]))},
                              sort_keys=True, indent=1) + "\n")
     print(f"compare: {len(entries)} configs x {len(scenarios)} scenarios "
@@ -362,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", help="cost weights as pdr,nrl,e2ed")
     p.add_argument("--output", help="write a JSON report here")
     p.add_argument("--event-log", help="write the per-event trace here")
-    p.add_argument("--allow-invalid-config", action="store_true",
-                   help="skip tuning-range validation for file-based configs")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("optimize", help="run an optimization campaign with resume")
@@ -386,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenarios", required=True, help="comma-separated names or paths")
     p.add_argument("--seeds", type=int, default=5, help="simulation seeds per cell")
     p.add_argument("--base-seed", type=int, default=1)
-    p.add_argument("--weights", help="cost weights as pdr,nrl,e2ed")
     p.add_argument("--outdir", default=_default_outdir())
     p.set_defaults(func=cmd_compare)
 

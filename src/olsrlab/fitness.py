@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .netsim import QosMetrics, run_simulation
 from .olsr import OlsrConfig
-from .params import ParamSpace, decode_params, default_param_space
+from .params import decode_params
 from .scenario import ScenarioSpec
 
 
@@ -76,26 +76,19 @@ class OlsrObjective:
     """
 
     def __init__(self, scenario: ScenarioSpec, weights: FitnessWeights = DEFAULT_WEIGHTS,
-                 seeds=(0,), space: ParamSpace | None = None,
-                 waive_config_validation: bool = False):
+                 seeds=(0,)):
         if not seeds:
             raise ValueError("at least one simulation seed is required")
         self.scenario = scenario
         self.weights = weights
         self.seeds = tuple(int(s) for s in seeds)
-        self.space = space or default_param_space()
-        self.waive = waive_config_validation
         self.evaluations = 0
         self.best: Evaluation | None = None
 
     def evaluate(self, raw) -> Evaluation:
         started = time.perf_counter()
-        config = decode_params(raw, self.space)
-        per_seed = [
-            run_simulation(self.scenario, config, seed,
-                           waive_config_validation=self.waive)
-            for seed in self.seeds
-        ]
+        config = decode_params(raw)
+        per_seed = [run_simulation(self.scenario, config, seed) for seed in self.seeds]
         metrics = _median_metrics(per_seed)
         cost = comm_cost(metrics, self.weights)
         self.evaluations += len(self.seeds)
@@ -108,8 +101,3 @@ class OlsrObjective:
     def __call__(self, raw) -> float:
         return self.evaluate(raw).cost
 
-
-def evaluate(candidate, scenario: ScenarioSpec, weights: FitnessWeights = DEFAULT_WEIGHTS,
-             seeds=(0,), **kwargs) -> Evaluation:
-    """One-shot scoring of a raw candidate vector."""
-    return OlsrObjective(scenario, weights, seeds, **kwargs).evaluate(candidate)

@@ -143,12 +143,11 @@ class Simulator:
     """One deterministic run of a scenario under a protocol configuration."""
 
     def __init__(self, scenario: ScenarioSpec, config: OlsrConfig, seed: int, *,
-                 event_log=None, waive_config_validation: bool = False):
+                 event_log=None):
         scenario.validate()
         if not scenario.sessions:
             raise ValueError("scenario has no CBR sessions; nothing to measure")
-        if not waive_config_validation:
-            config.validate()
+        config.validate()
         self.scenario = scenario
         self.config = config
         self.seed = seed
@@ -373,8 +372,6 @@ class Simulator:
 
 
 def run_simulation(scenario: ScenarioSpec, config: OlsrConfig, seed: int, *,
-                   event_log=None, waive_config_validation: bool = False) -> QosMetrics:
+                   event_log=None) -> QosMetrics:
     """Simulate the scenario once and return its QoS metrics."""
-    sim = Simulator(scenario, config, seed, event_log=event_log,
-                    waive_config_validation=waive_config_validation)
-    return sim.run()
+    return Simulator(scenario, config, seed, event_log=event_log).run()

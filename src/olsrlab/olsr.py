@@ -16,7 +16,7 @@ mixed-configuration experiments well defined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 HELLO = "HELLO"
@@ -35,9 +35,6 @@ WILL_ALWAYS = 7
 CONTROL_TTL = 255  # hop budget for flooded TC messages
 MSG_HEADER_BYTES = 16
 MSG_ENTRY_BYTES = 8
-
-INTERVAL_RANGE = (1.0, 30.0)
-HOLD_RANGE = (3.0, 100.0)
 
 
 @dataclass(frozen=True)
@@ -64,29 +61,23 @@ class OlsrConfig:
     dup_hold_time: float = 30.0
 
     def validate(self) -> "OlsrConfig":
-        """Raise ValueError listing every field outside its tuning range."""
+        """Raise ValueError listing every field a simulation cannot run with.
+
+        Every time must be finite and positive, and willingness an integer
+        in [WILL_NEVER, WILL_ALWAYS].  The tuning box the optimizers search
+        is narrower; it lives in :func:`olsrlab.params.default_param_space`.
+        """
         problems = []
-        for name in ("hello_interval", "refresh_interval", "tc_interval"):
-            value = getattr(self, name)
-            if not (INTERVAL_RANGE[0] <= value <= INTERVAL_RANGE[1]):
-                problems.append(
-                    f"{name}={value!r} outside [{INTERVAL_RANGE[0]}, {INTERVAL_RANGE[1]}]"
-                )
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "willingness" and not (
+                    isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+                problems.append(f"{f.name}={value!r} is not a finite positive time")
         if not isinstance(self.willingness, int) or isinstance(self.willingness, bool):
             problems.append(f"willingness={self.willingness!r} is not an integer")
         elif not (WILL_NEVER <= self.willingness <= WILL_ALWAYS):
-            problems.append(f"willingness={self.willingness!r} outside [0, 7]")
-        for name in ("neighb_hold_time", "top_hold_time", "mid_hold_time", "dup_hold_time"):
-            value = getattr(self, name)
-            if not (HOLD_RANGE[0] <= value <= HOLD_RANGE[1]):
-                problems.append(
-                    f"{name}={value!r} outside [{HOLD_RANGE[0]}, {HOLD_RANGE[1]}]"
-                )
-        for name in ("hello_interval", "refresh_interval", "tc_interval",
-                     "neighb_hold_time", "top_hold_time", "mid_hold_time",
-                     "dup_hold_time"):
-            if not math.isfinite(getattr(self, name)):
-                problems.append(f"{name} is not finite")
+            problems.append(f"willingness={self.willingness!r} outside "
+                            f"[{WILL_NEVER}, {WILL_ALWAYS}]")
         if problems:
             raise ValueError("invalid OlsrConfig: " + "; ".join(problems))
         return self

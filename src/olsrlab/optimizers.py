@@ -100,6 +100,7 @@ class RunRecord:
     seed: int
     trajectory: list[tuple[int, float, tuple[float, ...]]]
     best: Evaluation
+    best_index: int  # first trajectory entry that reached the best cost
     time_to_best: float
     total_time: float
 
@@ -123,9 +124,7 @@ class RunRecord:
             "budget": len(self.trajectory),
         }
         summary = {
-            "best_index": next(
-                i for i, c, _ in self.trajectory if c == self.best.cost
-            ),
+            "best_index": self.best_index,
             "best_cost": self.best.cost,
             "best_config": asdict(self.best.config),
             "best_metrics": asdict(self.best.metrics) if self.best.metrics is not None else None,
@@ -167,6 +166,7 @@ class RunRecord:
             seed=header["seed"],
             trajectory=trajectory,
             best=best,
+            best_index=summary["best_index"],
             time_to_best=summary.get("time_to_best", 0.0),
             total_time=summary.get("total_time", 0.0),
         )
@@ -186,7 +186,7 @@ class _Recorder:
         self.budget = budget
         self.trajectory: list[tuple[int, float, tuple[float, ...]]] = []
         self.best_cost = math.inf
-        self.best_x: tuple[float, ...] | None = None
+        self.best_index: int | None = None
         self.started = time.perf_counter()
         self.time_to_best = 0.0
 
@@ -198,7 +198,7 @@ class _Recorder:
         self.trajectory.append((len(self.trajectory), cost, candidate))
         if cost < self.best_cost:
             self.best_cost = cost
-            self.best_x = candidate
+            self.best_index = len(self.trajectory) - 1
             self.time_to_best = time.perf_counter() - self.started
         return cost
 
@@ -410,7 +410,7 @@ def search(opt_config: OptimizerConfig, objective, space: ParamSpace | None = No
     best = getattr(objective, "best", None)
     if best is None or best.cost != rec.best_cost:
         best = Evaluation(
-            config=decode_params(rec.best_x, space),
+            config=decode_params(rec.trajectory[rec.best_index][2], space),
             metrics=None,
             cost=rec.best_cost,
             seed=opt_config.seed,
@@ -421,17 +421,16 @@ def search(opt_config: OptimizerConfig, objective, space: ParamSpace | None = No
         seed=opt_config.seed,
         trajectory=rec.trajectory,
         best=best,
+        best_index=rec.best_index,
         time_to_best=rec.time_to_best,
         total_time=total,
     )
 
 
 def optimize(opt_config: OptimizerConfig, scenario, weights: FitnessWeights = DEFAULT_WEIGHTS,
-             *, eval_seeds=(0,), waive_config_validation: bool = False) -> RunRecord:
+             *, eval_seeds=(0,)) -> RunRecord:
     """Tune the protocol for a scenario; exactly ``budget`` evaluations."""
-    objective = OlsrObjective(scenario, weights, eval_seeds,
-                              waive_config_validation=waive_config_validation)
-    return search(opt_config, objective)
+    return search(opt_config, OlsrObjective(scenario, weights, eval_seeds))
 
 
 def random_search(objective, budget: int, seed: int,

@@ -11,7 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .olsr import HOLD_RANGE, INTERVAL_RANGE, WILL_ALWAYS, WILL_NEVER, OlsrConfig
+from .olsr import WILL_ALWAYS, WILL_NEVER, OlsrConfig
+
+INTERVAL_RANGE = (1.0, 30.0)
+HOLD_RANGE = (3.0, 100.0)
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,11 @@ class ParamSpace:
 
 
 def default_param_space() -> ParamSpace:
-    """The tuning box of :class:`OlsrConfig`, in ``as_vector`` order."""
+    """The tuning box the optimizers search, in ``OlsrConfig.as_vector`` order.
+
+    It is narrower than what :meth:`OlsrConfig.validate` accepts, so configs
+    outside it (such as the sub-second ``gomez-1``) still simulate.
+    """
     return ParamSpace(
         (
             Dimension("hello_interval", *INTERVAL_RANGE),

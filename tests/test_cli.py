@@ -78,15 +78,26 @@ def test_simulate_rejects_a_mislabeled_config_file(tmp_path, capsys):
 
 
 def test_simulate_config_waiver_flag(tmp_path, capsys):
+    """No waiver flag: configs outside the tuning box run, unrunnable ones fail."""
     cfg = tmp_path / "subsecond.json"
     cfg.write_text(json.dumps({"format": "olsrlab-config-v1",
                                "hello_interval": 0.5, "refresh_interval": 0.5,
                                "neighb_hold_time": 1.5}))
     assert main(["simulate", "--scenario", "static-mesh-smoke",
-                 "--config", str(cfg)]) == 2
-    assert "hello_interval" in capsys.readouterr().err
+                 "--config", str(cfg)]) == 0
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"format": "olsrlab-config-v1", "hello_interval": 0}))
     assert main(["simulate", "--scenario", "static-mesh-smoke",
-                 "--config", str(cfg), "--allow-invalid-config"]) == 0
+                 "--config", str(zero)]) == 2
+    assert "hello_interval" in capsys.readouterr().err
+    assert main(["compare", "--configs", str(cfg), "--scenarios", "static-mesh-smoke",
+                 "--seeds", "1", "--outdir", str(tmp_path / "cmp")]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "--scenario", "static-mesh-smoke",
+              "--config", str(cfg), "--allow-invalid-config"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --allow-invalid-config" in capsys.readouterr().err
 
 
 def test_simulate_rejects_malformed_weights(capsys):
@@ -196,21 +207,22 @@ def test_optimize_rejects_unknown_algorithms(tmp_path, capsys):
 
 def test_compare_builds_a_metric_grid(tmp_path):
     outdir = tmp_path / "cmp"
-    rc = main(["compare", "--configs", "rfc3626,gomez-3",
+    rc = main(["compare", "--configs", "rfc3626,gomez-1,gomez-3",
                "--scenarios", "static-mesh-smoke", "--seeds", "2",
                "--outdir", str(outdir)])
     assert rc == 0
 
     rows = read(outdir / "compare.csv").splitlines()
     assert rows[0].split(",")[:6] == ["config", "scenario", "pdr", "nrl", "e2ed", "rpl"]
-    assert len(rows) == 1 + 4  # 2 configs x (1 scenario + ALL)
+    assert len(rows) == 1 + 6  # 3 configs x (1 scenario + ALL)
 
     doc = json.loads(read(outdir / "compare.json"))
     assert doc["seeds"] == [1, 2]
     cells = doc["cells"]
     assert {(c["config"], c["scenario"]) for c in cells} == {
-        ("rfc3626", "static-mesh-smoke"), ("gomez-3", "static-mesh-smoke"),
-        ("rfc3626", "ALL"), ("gomez-3", "ALL"),
+        ("rfc3626", "static-mesh-smoke"), ("gomez-1", "static-mesh-smoke"),
+        ("gomez-3", "static-mesh-smoke"),
+        ("rfc3626", "ALL"), ("gomez-1", "ALL"), ("gomez-3", "ALL"),
     }
     for scenario in ("static-mesh-smoke", "ALL"):
         group = [c for c in cells if c["scenario"] == scenario]

@@ -10,7 +10,6 @@ from olsrlab.fitness import (
     OlsrObjective,
     _median_metrics,
     comm_cost,
-    evaluate,
 )
 from olsrlab.netsim import QosMetrics, run_simulation
 from olsrlab.olsr import OlsrConfig
@@ -90,14 +89,6 @@ def test_objective_tracks_the_best_candidate():
     assert objective.evaluations == 2
     assert objective.best is (first if first.cost <= worse.cost else worse)
     assert objective(OlsrConfig().as_vector()) == first.cost  # deterministic
-
-
-def test_one_shot_evaluate_matches_objective():
-    spec = catalog()["static-mesh-smoke"]
-    single = evaluate(OlsrConfig().as_vector(), spec, seeds=(2,))
-    again = OlsrObjective(spec, seeds=(2,)).evaluate(OlsrConfig().as_vector())
-    assert single.cost == again.cost
-    assert single.metrics == again.metrics
 
 
 def test_objective_requires_seeds():

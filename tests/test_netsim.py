@@ -284,10 +284,13 @@ def test_scenario_without_traffic_is_rejected():
 
 
 def test_out_of_range_config_needs_an_explicit_waiver():
+    """No waiver exists: a config outside the tuning box runs as it is, and
+    only a config no simulation can run is refused."""
     spec = pair_scenario(100.0)
     subsecond = OlsrConfig(hello_interval=0.5, refresh_interval=0.5,
                            neighb_hold_time=1.5)
+    assert run_simulation(spec, subsecond, 1).pdr == 1.0
+    # a zero interval would never let simulated time advance: refuse it
+    # at construction, before any event runs
     with pytest.raises(ValueError, match="hello_interval"):
-        run_simulation(spec, subsecond, 1)
-    m = run_simulation(spec, subsecond, 1, waive_config_validation=True)
-    assert m.pdr == 1.0
+        Simulator(spec, OlsrConfig(hello_interval=0.0), 1)

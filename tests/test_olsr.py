@@ -387,12 +387,23 @@ def test_config_defaults_are_valid():
 
 
 @pytest.mark.parametrize("field,value", [
+    # outside the tuning box but runnable: validation accepts them
     ("hello_interval", 0.5),
     ("tc_interval", 31.0),
-    ("willingness", 8),
-    ("willingness", 2.0),      # must be an int, not a float
     ("neighb_hold_time", 2.9),
     ("dup_hold_time", 101.0),
+])
+def test_config_accepts_runnable_values_outside_the_tuning_box(field, value):
+    cfg = OlsrConfig(**{field: value})
+    assert cfg.validate() is cfg
+
+
+@pytest.mark.parametrize("field,value", [
+    ("hello_interval", 0.0),
+    ("tc_interval", -1.0),
+    ("willingness", 8),
+    ("willingness", 2.0),      # must be an int, not a float
+    ("neighb_hold_time", float("inf")),
     ("hello_interval", float("nan")),
 ])
 def test_config_rejects_out_of_range_fields(field, value):
@@ -401,8 +412,13 @@ def test_config_rejects_out_of_range_fields(field, value):
         cfg.validate()
 
 
+def test_config_rejects_a_non_numeric_time():
+    with pytest.raises(ValueError, match="dup_hold_time"):
+        OlsrConfig(dup_hold_time="30").validate()
+
+
 def test_config_error_lists_every_problem():
     with pytest.raises(ValueError) as err:
-        OlsrConfig(hello_interval=0.1, willingness=9, top_hold_time=1000.0).validate()
+        OlsrConfig(hello_interval=0.0, willingness=9, top_hold_time=float("inf")).validate()
     text = str(err.value)
     assert "hello_interval" in text and "willingness" in text and "top_hold_time" in text

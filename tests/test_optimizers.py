@@ -200,6 +200,8 @@ def test_record_text_round_trip_is_lossless():
     assert clone.seed == record.seed
     assert clone.trajectory == record.trajectory
     assert clone.best == record.best
+    assert clone.best_index == record.best_index
+    assert record.trajectory[record.best_index][1] == record.best_cost
     assert clone.total_time == record.total_time
 
 

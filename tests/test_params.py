@@ -79,6 +79,8 @@ def test_every_finite_vector_decodes_valid():
         cfg = decode_params(raw)
         assert cfg.validate() is cfg
         assert isinstance(cfg.willingness, int)
+        for i, v in enumerate(cfg.as_vector()):
+            assert space.lower[i] <= v <= space.upper[i]
 
 
 def test_sample_respects_bounds_for_both_rng_kinds():
