@@ -4,7 +4,7 @@ routing protocol over vehicular scenarios."""
 from .fitness import DEFAULT_WEIGHTS, Evaluation, FitnessWeights, OlsrObjective, comm_cost
 from .netsim import QosMetrics, Simulator, collect_metrics, run_simulation
 from .olsr import ControlMessage, NodeState, OlsrConfig, compute_routing_table, select_mprs
-from .optimizers import OptimizerConfig, RunRecord, optimize, random_search, search
+from .optimizers import OptimizerConfig, RunRecord, optimize, search
 from .params import ParamSpace, decode_params, default_param_space
 from .scenario import (
     CbrSession,
@@ -14,10 +14,8 @@ from .scenario import (
     catalog,
     generate_random_waypoint,
     load_scenario,
-    parse_trace,
     position_at,
     save_scenario,
-    serialize_trace,
 )
 from .stats import friedman_mean_ranks, kruskal_wallis, summary_table
 

@@ -61,10 +61,16 @@ def _resolve_config(name: str) -> tuple[str, OlsrConfig]:
     if os.path.exists(name):
         with open(name) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{name}: expected a JSON object, got {type(doc).__name__}")
         if doc.get("format") != CONFIG_FORMAT:
             raise ValueError(f"{name}: unsupported config format {doc.get('format')!r}")
         fields = {k: v for k, v in doc.items() if k != "format"}
-        return os.path.basename(name), OlsrConfig(**fields)
+        try:
+            config = OlsrConfig(**fields)
+        except TypeError as exc:  # a key OlsrConfig does not have
+            raise ValueError(f"{name}: {exc}") from None
+        return os.path.basename(name), config
     raise ValueError(f"unknown config {name!r}; bundled: {', '.join(sorted(named))}")
 
 
@@ -192,11 +198,9 @@ def cmd_optimize(args) -> int:
     spec = None
     if args.objective == "sim":
         spec = _resolve_scenario(args.scenario)
-
-    def make_objective():
-        if spec is not None:
-            return OlsrObjective(spec, weights, seeds=(args.eval_seed,))
-        return BENCHMARKS[args.objective]
+        objective = OlsrObjective(spec, weights, seeds=(args.eval_seed,))
+    else:
+        objective = BENCHMARKS[args.objective]
 
     executed = 0
     for algorithm in algorithms:
@@ -207,7 +211,7 @@ def cmd_optimize(args) -> int:
                 continue
             cfg = OptimizerConfig(algorithm, budget=args.budget,
                                   population=args.population, seed=seed)
-            record = search(cfg, make_objective())
+            record = search(cfg, objective)
             _atomic_write(path, record.to_text())
             executed += 1
 

@@ -67,12 +67,11 @@ def _median_metrics(per_seed: list[QosMetrics]) -> QosMetrics:
 
 
 class OlsrObjective:
-    """Callable objective: raw vector -> communication cost on a scenario.
+    """Callable objective: raw vector -> scored :class:`Evaluation` on a scenario.
 
     Each evaluation decodes the vector, simulates once per seed, takes the
-    per-field median across seeds, and scores that aggregate.  The counter
-    advances by the number of seeds per call; the best evaluation seen so
-    far is kept for reporting.
+    per-field median across seeds, and scores that aggregate.  It keeps no
+    state between calls, so one objective can serve any number of searches.
     """
 
     def __init__(self, scenario: ScenarioSpec, weights: FitnessWeights = DEFAULT_WEIGHTS,
@@ -82,8 +81,6 @@ class OlsrObjective:
         self.scenario = scenario
         self.weights = weights
         self.seeds = tuple(int(s) for s in seeds)
-        self.evaluations = 0
-        self.best: Evaluation | None = None
 
     def evaluate(self, raw) -> Evaluation:
         started = time.perf_counter()
@@ -91,13 +88,8 @@ class OlsrObjective:
         per_seed = [run_simulation(self.scenario, config, seed) for seed in self.seeds]
         metrics = _median_metrics(per_seed)
         cost = comm_cost(metrics, self.weights)
-        self.evaluations += len(self.seeds)
-        result = Evaluation(config, metrics, cost, self.seeds[0],
-                            time.perf_counter() - started)
-        if self.best is None or cost < self.best.cost:
-            self.best = result
-        return result
+        return Evaluation(config, metrics, cost, self.seeds[0],
+                          time.perf_counter() - started)
 
-    def __call__(self, raw) -> float:
-        return self.evaluate(raw).cost
-
+    def __call__(self, raw) -> Evaluation:
+        return self.evaluate(raw)

@@ -66,6 +66,11 @@ class OlsrConfig:
         Every time must be finite and positive, and willingness an integer
         in [WILL_NEVER, WILL_ALWAYS].  The tuning box the optimizers search
         is narrower; it lives in :func:`olsrlab.params.default_param_space`.
+
+        No lower bound is set on a time, so a tiny interval validates but
+        is costly: simulation cost grows as 1/interval.  At seed 1,
+        static-mesh-smoke takes 25-32 s at ``hello_interval`` 0.001 against
+        0.03 s at the standard 2 s (Python 3.11, 2-CPU host).
         """
         problems = []
         for f in fields(self):

@@ -47,28 +47,32 @@ def rastrigin(x) -> float:
 BENCHMARKS = {"sphere": sphere, "rastrigin": rastrigin}
 
 
+# Each algorithm runs at fixed hyperparameters; the step functions take them
+# as keyword defaults so tests can zero a coefficient.
+# PSO
+INERTIA = 0.50
+COGNITIVE_COEF = 2.0
+SOCIAL_COEF = 2.0
+# DE; the scale factor is the classic recommended 0.5: small enough to
+# refine, large enough that the population cannot collapse prematurely
+CROSSOVER_RATE = 0.90
+DIFF_WEIGHT = 0.50
+# GA
+CROSSOVER_PROB = 0.80
+MUTATION_PROB = 0.01
+# SA
+TEMP_DECAY = 0.80
+EPOCH_LENGTH = 20
+NEIGHBORHOOD_SIGMA = 0.10
+CALIBRATION_PROBES = 50
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     algorithm: str
     budget: int = 1000
     population: int = 10
     seed: int = 0
-    # PSO
-    inertia: float = 0.50
-    cognitive_coef: float = 2.0
-    social_coef: float = 2.0
-    # DE; the scale factor is the classic recommended 0.5: small enough to
-    # refine, large enough that the population cannot collapse prematurely
-    crossover_rate: float = 0.90
-    diff_weight: float = 0.50
-    # GA
-    crossover_prob: float = 0.80
-    mutation_prob: float = 0.01
-    # SA
-    temp_decay: float = 0.80
-    epoch_length: int = 20
-    neighborhood_sigma: float = 0.10
-    calibration_probes: int = 50
 
     def validate(self) -> "OptimizerConfig":
         if self.algorithm not in ALGORITHMS:
@@ -81,14 +85,6 @@ class OptimizerConfig:
                 raise ValueError(f"{self.algorithm} needs a population of at least {minimum}")
             if self.budget < self.population:
                 raise ValueError("budget must cover at least one full generation")
-        for name in ("crossover_rate", "crossover_prob", "mutation_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name}={p!r} outside [0, 1]")
-        if not 0.0 < self.temp_decay <= 1.0:
-            raise ValueError("temp_decay must be in (0, 1]")
-        if self.epoch_length < 1 or self.calibration_probes < 0:
-            raise ValueError("epoch_length must be >= 1 and calibration_probes >= 0")
         return self
 
 
@@ -179,12 +175,15 @@ class _BudgetExhausted(Exception):
 
 
 class _Recorder:
-    """Wraps the objective, enforces the budget, and logs the trajectory."""
+    """Wraps the objective, enforces the budget, logs the trajectory, and
+    keeps what the objective returned for the first strict minimum: an
+    :class:`Evaluation`, or a bare cost for a benchmark function."""
 
     def __init__(self, objective, budget: int):
         self.objective = objective
         self.budget = budget
         self.trajectory: list[tuple[int, float, tuple[float, ...]]] = []
+        self.best: Evaluation | float | None = None
         self.best_cost = math.inf
         self.best_index: int | None = None
         self.started = time.perf_counter()
@@ -194,9 +193,11 @@ class _Recorder:
         if len(self.trajectory) >= self.budget:
             raise _BudgetExhausted
         candidate = tuple(float(v) for v in x)
-        cost = float(self.objective(candidate))
+        result = self.objective(candidate)
+        cost = result.cost if isinstance(result, Evaluation) else float(result)
         self.trajectory.append((len(self.trajectory), cost, candidate))
         if cost < self.best_cost:
+            self.best = result
             self.best_cost = cost
             self.best_index = len(self.trajectory) - 1
             self.time_to_best = time.perf_counter() - self.started
@@ -206,8 +207,8 @@ class _Recorder:
 # -- step functions ---------------------------------------------------------
 
 def pso_step(positions, velocities, personal_best, global_best, space: ParamSpace,
-             rng, inertia: float = 0.50, cognitive_coef: float = 2.0,
-             social_coef: float = 2.0):
+             rng, inertia: float = INERTIA, cognitive_coef: float = COGNITIVE_COEF,
+             social_coef: float = SOCIAL_COEF):
     """One velocity/position update of the whole swarm (no evaluation).
 
     Velocities are clamped to +-(upper-lower) per dimension; positions are
@@ -231,7 +232,7 @@ def pso_step(positions, velocities, personal_best, global_best, space: ParamSpac
 
 
 def de_step(population, costs, evaluate, space: ParamSpace, rng,
-            crossover_rate: float = 0.90, diff_weight: float = 0.50):
+            crossover_rate: float = CROSSOVER_RATE, diff_weight: float = DIFF_WEIGHT):
     """One rand/1/bin generation with greedy (<=) selection, in place."""
     lo = np.asarray(space.lower)
     hi = np.asarray(space.upper)
@@ -251,7 +252,7 @@ def de_step(population, costs, evaluate, space: ParamSpace, rng,
 
 
 def ga_step(population, costs, evaluate, space: ParamSpace, rng,
-            crossover_prob: float = 0.80, mutation_prob: float = 0.01):
+            crossover_prob: float = CROSSOVER_PROB, mutation_prob: float = MUTATION_PROB):
     """One generational replacement: tournaments, blend crossover, reset
     mutation, elitism of one.  The elite is re-evaluated with the rest so
     every generation costs exactly ``population`` evaluations."""
@@ -285,8 +286,8 @@ def ga_step(population, costs, evaluate, space: ParamSpace, rng,
 
 
 def sa_step(current, current_cost, temperature, step_index, evaluate,
-            space: ParamSpace, rng, neighborhood_sigma: float = 0.10,
-            temp_decay: float = 0.80, epoch_length: int = 20):
+            space: ParamSpace, rng, neighborhood_sigma: float = NEIGHBORHOOD_SIGMA,
+            temp_decay: float = TEMP_DECAY, epoch_length: int = EPOCH_LENGTH):
     """One annealing move: Gaussian neighbor, Metropolis acceptance, and
     geometric cooling every ``epoch_length`` steps."""
     lo = np.asarray(space.lower)
@@ -323,10 +324,7 @@ def _drive_pso(rec, space, cfg, rng):
     pbest_costs = costs.copy()
     g = int(np.argmin(pbest_costs))
     while True:
-        positions, velocities = pso_step(
-            positions, velocities, pbest, pbest[g], space, rng,
-            cfg.inertia, cfg.cognitive_coef, cfg.social_coef,
-        )
+        positions, velocities = pso_step(positions, velocities, pbest, pbest[g], space, rng)
         for i in range(pop):
             cost = rec(positions[i])
             if cost <= pbest_costs[i]:
@@ -340,16 +338,14 @@ def _drive_de(rec, space, cfg, rng):
     population = _init_population(space, rng, cfg.population)
     costs = np.array([rec(x) for x in population])
     while True:
-        population, costs = de_step(population, costs, rec, space, rng,
-                                    cfg.crossover_rate, cfg.diff_weight)
+        population, costs = de_step(population, costs, rec, space, rng)
 
 
 def _drive_ga(rec, space, cfg, rng):
     population = _init_population(space, rng, cfg.population)
     costs = np.array([rec(x) for x in population])
     while True:
-        population, costs = ga_step(population, costs, rec, space, rng,
-                                    cfg.crossover_prob, cfg.mutation_prob)
+        population, costs = ga_step(population, costs, rec, space, rng)
 
 
 def _drive_sa(rec, space, cfg, rng):
@@ -361,9 +357,8 @@ def _drive_sa(rec, space, cfg, rng):
     # pick T0 so a typical uphill move is accepted with probability ~0.8
     uphill = []
     best = (current_cost, current)
-    for _ in range(cfg.calibration_probes):
-        probe = np.clip(current + rng.normal(0.0, cfg.neighborhood_sigma * (hi - lo)),
-                        lo, hi)
+    for _ in range(CALIBRATION_PROBES):
+        probe = np.clip(current + rng.normal(0.0, NEIGHBORHOOD_SIGMA * (hi - lo)), lo, hi)
         cost = rec(probe)
         if cost > current_cost:
             uphill.append(cost - current_cost)
@@ -375,9 +370,7 @@ def _drive_sa(rec, space, cfg, rng):
     step = 0
     while True:
         current, current_cost, temperature = sa_step(
-            current, current_cost, temperature, step, rec, space, rng,
-            cfg.neighborhood_sigma, cfg.temp_decay, cfg.epoch_length,
-        )
+            current, current_cost, temperature, step, rec, space, rng)
         step += 1
 
 
@@ -390,16 +383,16 @@ _DRIVERS = {
 }
 
 
-def search(opt_config: OptimizerConfig, objective, space: ParamSpace | None = None) -> RunRecord:
-    """Run one algorithm against an arbitrary objective callable.
+def search(opt_config: OptimizerConfig, objective) -> RunRecord:
+    """Run one algorithm against an objective callable over the default box.
 
-    The objective is called exactly ``budget`` times.  If it exposes a
-    ``best`` Evaluation attribute (as the simulation objective does) that
-    is used for the record; otherwise the best candidate is decoded into
-    a config with no metrics attached.
+    The objective is called exactly ``budget`` times and returns either an
+    :class:`Evaluation` (as :class:`OlsrObjective` does), which becomes the
+    record's best, or a bare cost, whose best candidate is decoded into a
+    config with no metrics attached.
     """
     opt_config.validate()
-    space = space or default_param_space()
+    space = default_param_space()
     rng = np.random.default_rng(opt_config.seed)
     rec = _Recorder(objective, opt_config.budget)
     try:
@@ -407,8 +400,8 @@ def search(opt_config: OptimizerConfig, objective, space: ParamSpace | None = No
     except _BudgetExhausted:
         pass
     total = time.perf_counter() - rec.started
-    best = getattr(objective, "best", None)
-    if best is None or best.cost != rec.best_cost:
+    best = rec.best
+    if not isinstance(best, Evaluation):
         best = Evaluation(
             config=decode_params(rec.trajectory[rec.best_index][2], space),
             metrics=None,
@@ -431,9 +424,3 @@ def optimize(opt_config: OptimizerConfig, scenario, weights: FitnessWeights = DE
              *, eval_seeds=(0,)) -> RunRecord:
     """Tune the protocol for a scenario; exactly ``budget`` evaluations."""
     return search(opt_config, OlsrObjective(scenario, weights, eval_seeds))
-
-
-def random_search(objective, budget: int, seed: int,
-                  space: ParamSpace | None = None) -> RunRecord:
-    """Uniform sampling baseline over the box; best candidate retained."""
-    return search(OptimizerConfig("RAND", budget=budget, seed=seed), objective, space)

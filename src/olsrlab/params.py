@@ -24,10 +24,6 @@ class Dimension:
     upper: float
     integer: bool = False
 
-    @property
-    def span(self) -> float:
-        return self.upper - self.lower
-
 
 @dataclass(frozen=True)
 class ParamSpace:

@@ -6,11 +6,6 @@ data traffic.  Everything is plain data, serializable, and deterministic
 for a given seed, so the same scenario can be replayed across runs and
 machines.
 
-Trace file format (one waypoint per line, ``#`` starts a comment)::
-
-    # olsrlab-trace-v1
-    node_id time_s x_m y_m
-
 Waypoint times are strictly increasing per node; positions are linearly
 interpolated between waypoints and clamped outside the covered range.
 """
@@ -24,7 +19,6 @@ import operator
 import random
 from dataclasses import dataclass, field, asdict
 
-TRACE_FORMAT = "olsrlab-trace-v1"
 SCENARIO_FORMAT = "olsrlab-scenario-v1"
 
 # speed envelope used by the bundled urban scenarios, in m/s (10-50 km/h)
@@ -126,41 +120,6 @@ def position_at(points, time: float) -> tuple[float, float]:
     return x0 + frac * (x1 - x0), y0 + frac * (y1 - y0)
 
 
-def parse_trace(text: str, *, bounds=None, nodes=None) -> MobilityTrace:
-    """Parse the line-oriented waypoint format; errors carry the line number."""
-    waypoints: dict[int, list[tuple[float, float, float]]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"line {lineno}: expected 'node time x y', got {raw!r}")
-        try:
-            node = int(parts[0])
-            t, x, y = (float(p) for p in parts[1:])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if x < -1e-9 or y < -1e-9:
-            raise ValueError(f"line {lineno}: negative coordinate ({x}, {y})")
-        points = waypoints.setdefault(node, [])
-        if points and t <= points[-1][0]:
-            raise ValueError(f"line {lineno}: node {node} time {t} not after {points[-1][0]}")
-        points.append((t, x, y))
-    trace = MobilityTrace(waypoints)
-    trace.validate(bounds=bounds, nodes=nodes)
-    return trace
-
-
-def serialize_trace(trace: MobilityTrace) -> str:
-    """Inverse of parse_trace; floats use repr so round-trips are exact."""
-    lines = [f"# {TRACE_FORMAT}"]
-    for node in trace.nodes:
-        for t, x, y in trace.waypoints[node]:
-            lines.append(f"{node} {t!r} {x!r} {y!r}")
-    return "\n".join(lines) + "\n"
-
-
 def generate_random_waypoint(area: tuple[float, float], nodes: int, duration: float,
                              speed_range: tuple[float, float], seed: int) -> MobilityTrace:
     """Random-waypoint mobility with zero pause in an ``area = (w, h)`` box.
@@ -253,20 +212,27 @@ def save_scenario(spec: ScenarioSpec, path) -> None:
 def load_scenario(path) -> ScenarioSpec:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     if doc.get("format") != SCENARIO_FORMAT:
         raise ValueError(f"{path}: unsupported scenario format {doc.get('format')!r}")
-    trace = MobilityTrace(
-        {int(n): [tuple(p) for p in pts] for n, pts in doc["trace"].items()}
-    )
-    spec = ScenarioSpec(
-        name=doc["name"],
-        area=tuple(doc["area"]),
-        duration=doc["duration"],
-        nodes=doc["nodes"],
-        trace=trace,
-        sessions=[CbrSession(**s) for s in doc["sessions"]],
-        radio_mac=RadioMacParams(**doc["radio_mac"]),
-    )
+    try:
+        trace = MobilityTrace(
+            {int(n): [tuple(p) for p in pts] for n, pts in doc["trace"].items()}
+        )
+        spec = ScenarioSpec(
+            name=doc["name"],
+            area=tuple(doc["area"]),
+            duration=doc["duration"],
+            nodes=doc["nodes"],
+            trace=trace,
+            sessions=[CbrSession(**s) for s in doc["sessions"]],
+            radio_mac=RadioMacParams(**doc["radio_mac"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, AttributeError) as exc:  # an unknown key or a wrong JSON type
+        raise ValueError(f"{path}: {exc}") from None
     return spec.validate()
 
 

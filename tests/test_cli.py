@@ -7,6 +7,7 @@ import pytest
 
 from olsrlab.cli import main
 from olsrlab.optimizers import RunRecord
+from olsrlab.scenario import catalog, save_scenario
 
 
 def read(path):
@@ -75,6 +76,40 @@ def test_simulate_rejects_a_mislabeled_config_file(tmp_path, capsys):
     assert main(["simulate", "--scenario", "static-mesh-smoke",
                  "--config", str(cfg)]) == 2
     assert "format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,named", [
+    ({"format": "olsrlab-config-v1", "hello_intervl": 3.0}, "hello_intervl"),
+    (["olsrlab-config-v1", 3.0], "list"),
+])
+def test_simulate_rejects_a_malformed_config_file(tmp_path, capsys, doc, named):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", "static-mesh-smoke",
+                 "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert named in err
+
+
+def misspell_a_session_key(doc):
+    doc["sessions"][0]["sourc"] = doc["sessions"][0].pop("source")
+    return doc
+
+
+@pytest.mark.parametrize("edit,named", [
+    (misspell_a_session_key, "sourc"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "trace"}, "trace"),
+    (lambda doc: [doc], "list"),
+])
+def test_simulate_rejects_a_malformed_scenario_file(tmp_path, capsys, edit, named):
+    path = tmp_path / "mesh.json"
+    save_scenario(catalog()["static-mesh-smoke"], path)
+    path.write_text(json.dumps(edit(json.loads(read(path)))))
+    assert main(["simulate", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert named in err
 
 
 def test_simulate_config_waiver_flag(tmp_path, capsys):

@@ -15,51 +15,28 @@ from olsrlab.scenario import (
     catalog,
     generate_random_waypoint,
     load_scenario,
-    parse_trace,
     position_at,
     save_scenario,
-    serialize_trace,
 )
 
 
 # ---------------------------------------------------------------------------
-# trace parsing and serialization
+# trace validation and interpolation
 # ---------------------------------------------------------------------------
 
-def test_trace_round_trip_is_exact():
-    ugly = 0.1 + 0.2  # not representable as a short decimal
-    trace = MobilityTrace({
-        0: [(0.0, ugly, 1.0 / 3.0), (12.5, 100.0, 2.0 / 3.0)],
-        1: [(0.0, 7.25, 99.99999999999999)],
-    })
-    again = parse_trace(serialize_trace(trace))
-    assert again.waypoints == trace.waypoints
-
-
-def test_parse_skips_comments_and_blank_lines():
-    text = "# header\n\n0 0.0 10 20  # trailing note\n0 5.0 30 40\n"
-    trace = parse_trace(text)
-    assert trace.waypoints == {0: [(0.0, 10.0, 20.0), (5.0, 30.0, 40.0)]}
-
-
-@pytest.mark.parametrize("text,lineno", [
-    ("0 0.0 10\n", 1),
-    ("# ok\n0 0.0 10 20\n0 nope 30 40\n", 3),
-    ("0 0.0 -4 20\n", 1),
-    ("0 5.0 1 1\n0 5.0 2 2\n", 2),   # time must advance per node
-])
-def test_parse_errors_carry_line_numbers(text, lineno):
-    with pytest.raises(ValueError, match=f"line {lineno}"):
-        parse_trace(text)
-
-
-def test_parse_enforces_node_set_and_bounds():
-    text = "0 0.0 10 10\n1 0.0 20 20\n"
+def test_trace_validate_enforces_node_set_bounds_and_time_order():
+    trace = MobilityTrace({0: [(0.0, 10.0, 10.0)], 1: [(0.0, 20.0, 20.0), (5.0, 30.0, 30.0)]})
+    assert trace.validate(nodes=2, bounds=(50.0, 50.0)) is trace
     with pytest.raises(ValueError, match="expected 0..2"):
-        parse_trace(text, nodes=3)
+        trace.validate(nodes=3)
     with pytest.raises(ValueError, match="outside"):
-        parse_trace("0 0.0 500 10\n", bounds=(400.0, 300.0))
-    assert parse_trace(text, nodes=2, bounds=(50.0, 50.0)).nodes == [0, 1]
+        MobilityTrace({0: [(0.0, 500.0, 10.0)]}).validate(bounds=(400.0, 300.0))
+    with pytest.raises(ValueError, match="outside"):
+        MobilityTrace({0: [(0.0, -4.0, 20.0)]}).validate(bounds=(400.0, 300.0))
+    with pytest.raises(ValueError, match="not increasing"):
+        MobilityTrace({0: [(5.0, 1.0, 1.0), (5.0, 2.0, 2.0)]}).validate()
+    with pytest.raises(ValueError, match="no waypoints"):
+        MobilityTrace({0: [(0.0, 1.0, 1.0)], 1: []}).validate()
 
 
 def test_position_interpolates_and_clamps():
