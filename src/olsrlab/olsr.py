@@ -15,8 +15,10 @@ mixed-configuration experiments well defined.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import NamedTuple
 
 HELLO = "HELLO"
@@ -107,6 +109,12 @@ class ControlMessage:
     payload layout by kind:
       HELLO -- tuple of (neighbor id, link code) pairs, plus ``willingness``
       TC    -- tuple of MPR-selector node ids
+
+    A message is immutable and one transmission reaches every neighbor in
+    range, so the views each receiver needs (``listed``, ``mpr_listed``,
+    ``symmetric_listed``) are parsed from the payload on first use and
+    cached on the message.  A forwarded copy parses afresh.  A node listed
+    more than once counts under every code it is listed with.
     """
 
     kind: str
@@ -125,6 +133,23 @@ class ControlMessage:
 
     def forwarded_copy(self) -> "ControlMessage":
         return replace(self, ttl=self.ttl - 1, hop_count=self.hop_count + 1)
+
+    @cached_property
+    def listed(self) -> frozenset:
+        """Every node id in the payload, whatever its link code."""
+        if self.kind == HELLO:
+            return frozenset(nbr for nbr, _ in self.payload)
+        return frozenset(self.payload)
+
+    @cached_property
+    def mpr_listed(self) -> frozenset:
+        """HELLO: the neighbors listed as chosen relays."""
+        return frozenset(nbr for nbr, code in self.payload if code == LINK_MPR)
+
+    @cached_property
+    def symmetric_listed(self) -> frozenset:
+        """HELLO: the neighbors listed over a symmetric link, relays included."""
+        return frozenset(nbr for nbr, code in self.payload if code in (LINK_SYM, LINK_MPR))
 
 
 class MprSelection(NamedTuple):
@@ -199,17 +224,22 @@ class NodeState:
       of an expiry lowers it.  :meth:`purge_expired` returns at once while
       ``now`` has not passed it, and after a sweep sets it to the earliest
       expiry left.
-    * ``two_hop`` is bucketed by the neighbor that advertised it, so a
-      HELLO replaces one bucket and a lost link drops one.
+    * ``two_hop`` and ``topology`` hold one bucket per advertising node,
+      with one expiry for the whole bucket, because one message writes
+      every entry of it with the same validity.  A HELLO or a fresh TC
+      replaces one bucket, and the sweep visits buckets, not entries.
+    * ``duplicates`` is inserted in expiry order, so the sweep drops its
+      expired entries from the front.
     * The MPR set is a pure function of the symmetric links and the
       two-hop set.  A change to either marks it stale, and it is selected
       again when next read (``mprs``, ``uncoverable``).
-    * The routing table depends on the links and the topology only.  It
-      stays eager, because the simulator reads ``routing`` directly, and
-      is recomputed when a link appears, disappears or changes status or
-      willingness, or a topology tuple appears or disappears; an expiry
-      refresh or a change to the two-hop set, the MPR selectors or the
-      duplicate set leaves it alone.
+    * The routing table depends on the symmetric links and the topology
+      only.  A link that appears, disappears or changes status or
+      willingness, or a topology bucket whose destinations change, marks
+      it stale, and reading ``routing`` recomputes it.
+
+    Every call passes a time ``now`` that never decreases from one call to
+    the next; the front drop of ``duplicates`` relies on it.
     """
 
     def __init__(self, self_id: int, config: OlsrConfig, *, now: float = 0.0, rng=None):
@@ -217,23 +247,25 @@ class NodeState:
         self.config = config
         # neighbor id -> _Link
         self.links: dict[int, _Link] = {}
-        # advertising neighbor -> {target: expiry}; no bucket is empty
-        self.two_hop: dict[int, dict[int, float]] = {}
+        # advertising neighbor -> (targets, expiry); no bucket is empty
+        self.two_hop: dict[int, tuple[frozenset, float]] = {}
         # the MPR selection; None until made, and again once links or
         # two-hop entries change
         self._selection: MprSelection | None = None
         # neighbor id -> expiry
         self.mpr_selectors: dict[int, float] = {}
-        # (destination, last hop) -> (seq, expiry)
-        self.topology: dict[tuple[int, int], tuple[int, float]] = {}
+        # last hop (TC originator) -> (destinations, seq, expiry); no
+        # bucket is empty
+        self.topology: dict[int, tuple[frozenset, int, float]] = {}
         # highest sequence number seen per TC originator
         self._topo_seq: dict[int, int] = {}
-        # (originator, kind, seq) -> expiry
+        # (originator, kind, seq) -> expiry, nondecreasing in insertion order
         self.duplicates: dict[tuple[int, str, int], float] = {}
         # no stored tuple expires before this time
         self._next_expiry = math.inf
-        # destination -> (next hop, hop count)
-        self.routing: dict[int, tuple[int, int]] = {}
+        # destination -> (next hop, hop count), valid unless _routing_stale
+        self._routing: dict[int, tuple[int, int]] = {}
+        self._routing_stale = False
         self._seq = {HELLO: 0, TC: 0}
         self._next_emit = {
             HELLO: now + config.hello_interval - _jitter(rng, config.hello_interval),
@@ -250,9 +282,9 @@ class NodeState:
         sym = self.symmetric_neighbors()
         return {
             (via, target)
-            for via in sym
-            for target in self.two_hop.get(via, ())
-            if target not in sym and target != self.self_id
+            for via in sym if via in self.two_hop
+            for target in self.two_hop[via][0]
+            if target not in sym
         }
 
     @property
@@ -262,6 +294,16 @@ class NodeState:
     @property
     def uncoverable(self) -> frozenset:
         return self._mpr_selection().uncoverable
+
+    @property
+    def routing(self) -> dict[int, tuple[int, int]]:
+        """Destination -> (next hop, hop count), recomputed when stale."""
+        if self._routing_stale:
+            # cleared first, so a wrapper of compute_routing_table that
+            # reads ``routing`` sees the previous table
+            self._routing_stale = False
+            self._routing = compute_routing_table(self)
+        return self._routing
 
     # -- message processing --------------------------------------------
 
@@ -282,11 +324,11 @@ class NodeState:
             if links_changed or two_hop_changed:
                 self._selection = None
             if links_changed:
-                self.compute_routing_table()
+                self._routing_stale = True
             return False
 
         if self._apply_tc(msg, now):
-            self.compute_routing_table()
+            self._routing_stale = True
         key = (msg.originator, msg.kind, msg.seq)
         if key in self.duplicates or msg.ttl <= 1 or sender not in self.mpr_selectors:
             return False
@@ -297,54 +339,41 @@ class NodeState:
 
     def _apply_hello(self, msg: ControlMessage, sender: int, now: float) -> tuple[bool, bool]:
         """Return whether the links and whether the two-hop set changed membership."""
-        heard_us = selected_us = False
         expiry = now + msg.validity_time
-        # two-hop entries come from the sender's symmetric links only
-        bucket = {}
-        for nbr, code in msg.payload:
-            if nbr == self.self_id:
-                heard_us = True
-                selected_us = selected_us or code == LINK_MPR
-            elif code in (LINK_SYM, LINK_MPR):
-                bucket[nbr] = expiry
-
-        # the sender is symmetric while it hears us, one-way otherwise
-        status = LINK_SYM if heard_us else LINK_ASYM
+        # the sender is symmetric while it lists us, one-way otherwise
+        status = LINK_SYM if self.self_id in msg.listed else LINK_ASYM
         will = msg.willingness if msg.willingness is not None else WILL_DEFAULT
         old = self.links.get(sender)
         links_changed = old is None or old.status != status or old.willingness != will
         link_expiry = now + self.config.neighb_hold_time
         self.links[sender] = _Link(status, link_expiry, will)
 
-        old_bucket = self.two_hop.pop(sender, {})
-        if bucket:
-            self.two_hop[sender] = bucket
-        two_hop_changed = bucket.keys() != old_bucket.keys()
+        # two-hop entries come from the sender's symmetric links only
+        targets = msg.symmetric_listed - {self.self_id}
+        old_targets, _ = self.two_hop.pop(sender, (frozenset(), None))
+        if targets:
+            self.two_hop[sender] = (targets, expiry)
+        two_hop_changed = targets != old_targets
 
-        if selected_us:
+        if self.self_id in msg.mpr_listed:
             self.mpr_selectors[sender] = expiry
         self._next_expiry = min(self._next_expiry, link_expiry, expiry)
         return links_changed, two_hop_changed
 
     def _apply_tc(self, msg: ControlMessage, now: float) -> bool:
+        """Return whether the originator's advertised destinations changed."""
         origin = msg.originator
         last = self._topo_seq.get(origin)
         if last is not None and msg.seq <= last:
             return False  # stale or replayed advertisement
         self._topo_seq[origin] = msg.seq
-        before = {key for key in self.topology if key[1] == origin}
-        for key in before:
-            del self.topology[key]
-        expiry = now + msg.validity_time
-        after = set()
-        for dest in msg.payload:
-            if dest == self.self_id:
-                continue
-            key = (dest, origin)
-            self.topology[key] = (msg.seq, expiry)
-            after.add(key)
-        self._next_expiry = min(self._next_expiry, expiry)
-        return before != after
+        old_dests, _, _ = self.topology.pop(origin, (frozenset(), None, None))
+        dests = msg.listed - {self.self_id}
+        if dests:
+            expiry = now + msg.validity_time
+            self.topology[origin] = (dests, msg.seq, expiry)
+            self._next_expiry = min(self._next_expiry, expiry)
+        return dests != old_dests
 
     # -- periodic emission ----------------------------------------------
 
@@ -409,7 +438,9 @@ class NodeState:
         Losing a link cascades: the two-hop bucket advertised by that
         neighbor and its MPR-selector registration go with it.  Returns
         True when anything was removed.  Costs O(1) while ``now`` has not
-        passed the earliest-expiry watermark.
+        passed the earliest-expiry watermark, and otherwise O(links +
+        buckets + duplicates removed).  ``now`` must not decrease between
+        calls (see the class docstring).
         """
         if now <= self._next_expiry:
             return False
@@ -418,30 +449,32 @@ class NodeState:
             del self.links[nbr]
             self.two_hop.pop(nbr, None)
             self.mpr_selectors.pop(nbr, None)
-        two_hop_removed = False
-        for via, bucket in list(self.two_hop.items()):
-            two_hop_removed |= _drop_expired(bucket, now)
-            if not bucket:
-                del self.two_hop[via]
-        dead_topology = [k for k, (_, exp) in self.topology.items() if exp < now]
-        for key in dead_topology:
-            del self.topology[key]
-        other_removed = _drop_expired(self.mpr_selectors, now)
-        other_removed |= _drop_expired(self.duplicates, now)
+        dead_two_hop = [via for via, (_, exp) in self.two_hop.items() if exp < now]
+        for via in dead_two_hop:
+            del self.two_hop[via]
+        dead_topology = [last for last, (_, _, exp) in self.topology.items() if exp < now]
+        for last in dead_topology:
+            del self.topology[last]
+        selectors_removed = _drop_expired(self.mpr_selectors, now)
+        # inserted in expiry order, so the expired ones lead
+        dead_duplicates = [key for key, _ in itertools.takewhile(
+            lambda item: item[1] < now, self.duplicates.items())]
+        for key in dead_duplicates:
+            del self.duplicates[key]
 
         self._next_expiry = min(
             [l.expiry for l in self.links.values()]
-            + [exp for bucket in self.two_hop.values() for exp in bucket.values()]
-            + [exp for _, exp in self.topology.values()]
+            + [exp for _, exp in self.two_hop.values()]
+            + [exp for _, _, exp in self.topology.values()]
             + list(self.mpr_selectors.values())
-            + list(self.duplicates.values()),
-            default=math.inf,
+            + [next(iter(self.duplicates.values()), math.inf)]
         )
-        if dead_links or two_hop_removed:
+        if dead_links or dead_two_hop:
             self._selection = None
         if dead_links or dead_topology:
-            self.compute_routing_table()
-        return bool(dead_links or two_hop_removed or dead_topology or other_removed)
+            self._routing_stale = True
+        return bool(dead_links or dead_two_hop or dead_topology or selectors_removed
+                    or dead_duplicates)
 
     # -- derived tables ---------------------------------------------------
 
@@ -450,10 +483,6 @@ class NodeState:
             self._selection = select_mprs(self.symmetric_neighbors().items(),
                                           self.strict_two_hop())
         return self._selection
-
-    def compute_routing_table(self) -> dict[int, tuple[int, int]]:
-        self.routing = compute_routing_table(self)
-        return self.routing
 
 
 def compute_routing_table(state: NodeState) -> dict[int, tuple[int, int]]:
@@ -464,9 +493,7 @@ def compute_routing_table(state: NodeState) -> dict[int, tuple[int, int]]:
     next-hop id wins; table iteration order is by destination id.
     """
     sym = sorted(state.symmetric_neighbors())
-    adj: dict[int, set[int]] = {}
-    for (dest, last), _ in state.topology.items():
-        adj.setdefault(last, set()).add(dest)
+    adj = state.topology
 
     dist = {state.self_id: 0}
     via: dict[int, int] = {}
@@ -478,7 +505,9 @@ def compute_routing_table(state: NodeState) -> dict[int, tuple[int, int]]:
     while frontier:
         layer: dict[int, int] = {}
         for u in frontier:
-            for v in adj.get(u, ()):
+            if u not in adj:
+                continue
+            for v in adj[u][0]:
                 if v in dist:
                     continue
                 cand = via[u]

@@ -78,8 +78,9 @@ def bfs_hops(state):
     """Reference distances over symmetric links plus advertised edges."""
     sym = sorted(n for n, l in state.links.items() if l.status == LINK_SYM)
     adj = {}
-    for dest, last in state.topology:
-        adj.setdefault(last, set()).add(dest)
+    for last, (dests, _, _) in state.topology.items():
+        for dest in dests:
+            adj.setdefault(last, set()).add(dest)
     dist = {state.self_id: 0}
     frontier = []
     for n in sym:
@@ -105,10 +106,13 @@ def random_snapshot(rng: random.Random):
     spare = [v for v in others if v not in state.links]
     for n in rng.sample(spare, rng.randint(0, 3)):
         state.links[n] = _Link(LINK_ASYM, INF, WILL_DEFAULT)
+    edges = {}
     for _ in range(rng.randint(5, 60)):
         dest, last = rng.randint(1, 19), rng.randint(0, 19)
         if dest != last:
-            state.topology[(dest, last)] = (1, INF)
+            edges.setdefault(last, set()).add(dest)
+    for last, dests in edges.items():
+        state.topology[last] = (frozenset(dests), 1, INF)
     return state
 
 

@@ -234,6 +234,15 @@ def test_mid_timing_has_no_effect_on_single_interface_nodes(refresh, mid_hold):
     ("u1-low", QosMetrics(
         pdr=1.0, nrl=1.885, e2ed=0.0010936904194248183, rpl=1.0, data_sent=600,
         data_delivered=600, data_dropped=0, data_in_flight=0, routing_tx=1131)),
+    # the scenarios of the dense-urban and sparse-wide benchmark workloads
+    ("u1-high", QosMetrics(
+        pdr=0.98, nrl=1.8231292517006803, e2ed=0.0011224963645959016,
+        rpl=1.0419501133786848, data_sent=1800, data_delivered=1764, data_dropped=36,
+        data_in_flight=0, routing_tx=3216)),
+    ("base-malaga-like", QosMetrics(
+        pdr=0.5382142857142858, nrl=4.527869940278699, e2ed=0.002563659069824535,
+        rpl=2.369940278699403, data_sent=5600, data_delivered=3014, data_dropped=2586,
+        data_in_flight=0, routing_tx=13647)),
 ])
 def test_bundled_scenarios_reproduce_their_pinned_metrics(name, expected):
     # exact values: any change to the protocol core or the channel that is

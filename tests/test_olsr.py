@@ -47,7 +47,12 @@ def tc(origin, selectors, *, seq=1, validity=15.0, ttl=CONTROL_TTL):
 
 def two_hop_pairs(state):
     """The two-hop set as (via neighbor, target) pairs."""
-    return {(via, target) for via, bucket in state.two_hop.items() for target in bucket}
+    return {(via, target) for via, (targets, _) in state.two_hop.items() for target in targets}
+
+
+def topology_pairs(state):
+    """The topology set as (destination, last hop) pairs."""
+    return {(dest, last) for last, (dests, _, _) in state.topology.items() for dest in dests}
 
 
 def test_select_mprs_worked_example():
@@ -129,7 +134,7 @@ def test_hello_link_expiry_uses_receiver_hold_time():
     state = NodeState(1, OlsrConfig(neighb_hold_time=6.0))
     state.process_message(hello(2, [(1, LINK_SYM), (7, LINK_SYM)], validity=99.0), 2, 10.0)
     assert state.links[2].expiry == 16.0
-    assert state.two_hop[2][7] == 109.0
+    assert state.two_hop[2] == (frozenset({7}), 109.0)
 
 
 def test_hello_two_hop_set_tracks_senders_symmetric_links():
@@ -160,6 +165,37 @@ def test_hello_reselects_mprs_on_membership_change():
     assert state.routing == {2: (2, 1)}
 
 
+@pytest.mark.parametrize("codes", [(LINK_ASYM, LINK_MPR), (LINK_MPR, LINK_ASYM)],
+                         ids=["asym-then-mpr", "mpr-then-asym"])
+def test_hello_entry_listed_twice_counts_under_every_code(codes):
+    # any entry naming us makes the link symmetric, and any MPR-coded one
+    # registers the sender, whatever order the duplicates come in
+    state = NodeState(1, OlsrConfig())
+    entries = [(1, codes[0]), (5, codes[0]), (1, codes[1]), (5, codes[1])]
+    state.process_message(hello(2, entries), 2, 0.0)
+    assert state.links[2].status == LINK_SYM
+    assert 2 in state.mpr_selectors
+    assert two_hop_pairs(state) == {(2, 5)}
+
+
+def test_hello_shared_by_receivers_acts_like_a_fresh_message_for_each():
+    def tables(state):
+        return (state.links, state.two_hop, state.mpr_selectors, state.mprs, state.routing)
+
+    def primed(node):
+        state = NodeState(node, OlsrConfig())
+        state.process_message(hello(7, [(node, LINK_SYM), (8, LINK_SYM)]), 7, 0.0)
+        return state
+
+    entries = [(1, LINK_MPR), (3, LINK_SYM), (5, LINK_SYM), (6, LINK_ASYM)]
+    shared = hello(2, entries)
+    for node in (1, 3, 4, 5, 6):
+        state, twin = primed(node), primed(node)
+        state.process_message(shared, 2, 1.0)
+        twin.process_message(hello(2, entries), 2, 1.0)
+        assert tables(state) == tables(twin), node
+
+
 def test_own_messages_are_ignored():
     state = NodeState(1, OlsrConfig())
     assert state.process_message(hello(1, [(2, LINK_SYM)]), 2, 0.0) is False
@@ -181,23 +217,23 @@ def test_unknown_message_kind_rejected(kind):
 def test_tc_topology_replacement_and_stale_rejection():
     state = NodeState(1, OlsrConfig())
     state.process_message(tc(9, (4, 5), seq=5), 2, 0.0)
-    assert set(state.topology) == {(4, 9), (5, 9)}
+    assert topology_pairs(state) == {(4, 9), (5, 9)}
     # replay with equal seq changes nothing, even with different payload
     state.process_message(tc(9, (6,), seq=5), 2, 1.0)
-    assert set(state.topology) == {(4, 9), (5, 9)}
+    assert topology_pairs(state) == {(4, 9), (5, 9)}
     # lower seq is stale
     state.process_message(tc(9, (6,), seq=4), 2, 2.0)
-    assert set(state.topology) == {(4, 9), (5, 9)}
+    assert topology_pairs(state) == {(4, 9), (5, 9)}
     # higher seq replaces the originator's advertisement wholesale
     state.process_message(tc(9, (6,), seq=6), 2, 3.0)
-    assert set(state.topology) == {(6, 9)}
-    assert state.topology[(6, 9)] == (6, 3.0 + 15.0)
+    assert topology_pairs(state) == {(6, 9)}
+    assert state.topology[9] == (frozenset({6}), 6, 3.0 + 15.0)
 
 
 def test_tc_skips_self_as_destination():
     state = NodeState(1, OlsrConfig())
     state.process_message(tc(9, (1, 4)), 2, 0.0)
-    assert set(state.topology) == {(4, 9)}
+    assert topology_pairs(state) == {(4, 9)}
 
 
 def test_tc_forwarded_only_once_and_only_for_selectors():
@@ -222,7 +258,7 @@ def test_tc_with_exhausted_ttl_is_consumed_not_forwarded():
     state.process_message(hello(2, [(1, LINK_MPR)]), 2, 0.0)
     assert state.process_message(tc(9, (4,), ttl=1), 2, 1.0) is False
     assert not state.duplicates
-    assert (4, 9) in state.topology
+    assert (4, 9) in topology_pairs(state)
 
 
 def test_forwarded_copy_decrements_ttl_and_counts_hop():
@@ -357,15 +393,15 @@ def test_routing_prefers_lowest_next_hop_on_ties():
     state = NodeState(0, OlsrConfig())
     state.links[1] = _Link(LINK_SYM, INF, WILL_DEFAULT)
     state.links[2] = _Link(LINK_SYM, INF, WILL_DEFAULT)
-    state.topology[(5, 1)] = (1, INF)
-    state.topology[(5, 2)] = (1, INF)
+    state.topology[1] = (frozenset({5}), 1, INF)
+    state.topology[2] = (frozenset({5}), 1, INF)
     assert compute_routing_table(state)[5] == (1, 2)
 
 
 def test_routing_ignores_asymmetric_links():
     state = NodeState(0, OlsrConfig())
     state.links[1] = _Link(LINK_ASYM, INF, WILL_DEFAULT)
-    state.topology[(5, 1)] = (1, INF)
+    state.topology[1] = (frozenset({5}), 1, INF)
     assert compute_routing_table(state) == {}
 
 

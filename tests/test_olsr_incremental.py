@@ -3,7 +3,8 @@
 A node state is driven through random sequences of HELLO and TC messages
 and expiry sweeps at nondecreasing times.  After every step the stored MPR
 set and routing table must equal what a fresh computation over the
-current state gives, and every sweep must leave nothing expired behind.
+current state gives, routing hop counts must match the oracle's
+breadth-first search, and every sweep must leave nothing expired behind.
 """
 
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from olsrlab.olsr import (
     select_mprs,
 )
 
-from oracles import coverage_sets
+from oracles import bfs_hops, coverage_sets
 
 SELF = 0
 NEIGHBORS = st.integers(min_value=1, max_value=3)  # may send us a HELLO
@@ -71,17 +72,29 @@ def expiries(state):
     """Every stored (table, key, expiry), read straight from the tables."""
     out = [("links", n, link.expiry) for n, link in state.links.items()]
     out += [("two_hop", (via, target), exp)
-            for via, bucket in state.two_hop.items() for target, exp in bucket.items()]
+            for via, (targets, exp) in state.two_hop.items() for target in targets]
     out += [("mpr_selectors", n, exp) for n, exp in state.mpr_selectors.items()]
-    out += [("topology", key, exp) for key, (_, exp) in state.topology.items()]
+    out += [("topology", (dest, last), exp)
+            for last, (dests, _, exp) in state.topology.items() for dest in dests]
     out += [("duplicates", key, exp) for key, exp in state.duplicates.items()]
     return out
 
 
 def check_derived_tables(state):
+    # buckets are never empty, never list us, and a topology bucket holds
+    # the originator's latest sequence number
+    for targets, _ in state.two_hop.values():
+        assert targets and SELF not in targets
+    for last, (dests, seq, _) in state.topology.items():
+        assert dests and SELF not in dests
+        assert seq == state._topo_seq[last]
+    # the expiry sweep drops duplicates from the front
+    dup_expiries = list(state.duplicates.values())
+    assert dup_expiries == sorted(dup_expiries)
+
     will = state.symmetric_neighbors()
     strict = {(via, target)
-              for via, bucket in state.two_hop.items() for target in bucket
+              for via, (targets, _) in state.two_hop.items() for target in targets
               if via in will and target not in will and target != SELF}
     assert state.strict_two_hop() == strict
 
@@ -95,6 +108,8 @@ def check_derived_tables(state):
             assert target in state.uncoverable
 
     assert state.routing == compute_routing_table(state)
+    hops, _ = bfs_hops(state)
+    assert {dest: h for dest, (_, h) in state.routing.items()} == hops
 
 
 @settings(max_examples=400, deadline=None)
