@@ -4,7 +4,11 @@ The model is deliberately small but honest about the effects that matter
 for protocol tuning:
 
 * disk radio: a frame reaches every node within ``tx_range`` of the
-  transmitter, positions sampled at transmission start;
+  transmitter, positions sampled at transmission start; only the
+  transmitter's receiver candidates for that time are tested
+  (:meth:`MobilityTrace.receiver_candidates`), a superset of the nodes in
+  range, so the exact distance test decides every verdict as if all nodes
+  were tested;
 * carrier sense with random backoff: a sender checks the channel, defers
   while an in-range node is transmitting, then starts after a uniform
   backoff without re-checking, which leaves the usual vulnerability
@@ -158,6 +162,7 @@ class Simulator:
         self._heap: list = []
         self._insertions = 0
         self._transmissions: list[_Transmission] = []
+        self._candidates = None  # built on the first run, cached on the trace
         self.nodes: dict[int, _SimNode] = {}
         for node_id in self.scenario.trace.nodes:
             state = NodeState(node_id, config, now=0.0, rng=self.rng)
@@ -171,11 +176,10 @@ class Simulator:
         self._insertions += 1
 
     def _log(self, subject: int, kind: str, detail: str) -> None:
+        # hot call sites test ``_event_log`` themselves, so that a run
+        # without a log formats no detail string
         if self._event_log is not None:
             self._event_log.write(f"{self.now:.6f} {subject} {kind} {detail}\n")
-
-    def _position(self, node: int, time: float) -> tuple[float, float]:
-        return self.scenario.trace.position(node, time)
 
     def _in_range(self, a: tuple[float, float], b: tuple[float, float]) -> bool:
         return math.dist(a, b) <= self.scenario.radio_mac.tx_range
@@ -191,6 +195,8 @@ class Simulator:
 
     def run(self) -> QosMetrics:
         duration = self.scenario.duration
+        self._candidates = self.scenario.trace.receiver_candidates(
+            self.scenario.radio_mac.tx_range)
         for node in self.nodes.values():
             self._schedule(node.state.next_emission(), "periodic-emit", node.node_id)
             self._schedule(PURGE_TICK, "tuple-purge", node.node_id)
@@ -218,7 +224,8 @@ class Simulator:
         messages, _next = node.state.emit_periodic(self.now, self.rng)
         for msg in messages:
             self._enqueue(node, Frame(msg, node_id, None, msg.size_bytes))
-            self._log(node_id, "periodic-emit", f"{msg.kind} seq={msg.seq}")
+            if self._event_log is not None:
+                self._log(node_id, "periodic-emit", f"{msg.kind} seq={msg.seq}")
         self._schedule(node.state.next_emission(), "periodic-emit", node_id)
 
     def _on_tuple_purge(self, node_id: int, _payload) -> None:
@@ -235,7 +242,8 @@ class Simulator:
         node.state.purge_expired(self.now)
         packet = DataPacket((si, k), source, session.dest, self.now, session.packet_size)
         self.counters.data_sent += 1
-        self._log(source, "cbr-send", f"uid={si}:{k} dest={session.dest}")
+        if self._event_log is not None:
+            self._log(source, "cbr-send", f"uid={si}:{k} dest={session.dest}")
         self.route_data_packet(packet, source, self.now)
 
     def _on_frame_send(self, node_id: int, _payload) -> None:
@@ -250,13 +258,18 @@ class Simulator:
         other stations may still see an idle channel.
         """
         frame = node.current
-        pos = self._position(node.node_id, now)
+        trace = self.scenario.trace
+        pos = None  # looked up only when another node is on the air
         busy_until = 0.0
         for tx in self._transmissions:
-            if tx.start <= now < tx.end and (
-                tx.transmitter == node.node_id or self._in_range(pos, tx.pos)
-            ):
-                busy_until = max(busy_until, tx.end)
+            if not tx.start <= now < tx.end:
+                continue
+            if tx.transmitter != node.node_id:
+                if pos is None:
+                    pos = trace.position(node.node_id, now)
+                if not self._in_range(pos, tx.pos):
+                    continue
+            busy_until = max(busy_until, tx.end)
         if busy_until > 0.0:
             self._schedule(busy_until + self._backoff(), "frame-send", node.node_id)
             return
@@ -266,7 +279,7 @@ class Simulator:
         if frame.is_control:
             self.counters.routing_tx += 1
         tx = _Transmission(node.node_id, start, end,
-                           frame, self._position(node.node_id, start))
+                           frame, trace.position(node.node_id, start))
         self._transmissions.append(tx)
         self._schedule(end, "frame-txend", node.node_id, tx)
 
@@ -278,20 +291,17 @@ class Simulator:
         horizon = min(t.start for t in self._transmissions if t.end >= self.now)
         self._transmissions = [t for t in self._transmissions if t.end > horizon]
         delay = self.scenario.radio_mac.processing_delay
+        trace = self.scenario.trace
         if frame.dest is None:
-            for other in self.nodes:
-                if other == node_id:
-                    continue
-                rpos = self._position(other, tx.start)
-                if not self._in_range(rpos, tx.pos):
-                    continue
-                if not self._corrupted(tx, other, rpos):
-                    self._schedule(self.now + delay, "frame-arrival", other,
-                                   (frame.payload, node_id))
+            arrival, payload = self.now + delay, (frame.payload, node_id)
+            for other in self._candidates(node_id, tx.start):
+                rpos = trace.position(other, tx.start)
+                if self._in_range(rpos, tx.pos) and not self._corrupted(tx, other, rpos):
+                    self._schedule(arrival, "frame-arrival", other, payload)
             self._finish_frame(node)
             return
         dest = frame.dest
-        rpos = self._position(dest, tx.start)
+        rpos = trace.position(dest, tx.start)
         ok = self._in_range(rpos, tx.pos) and not self._corrupted(tx, dest, rpos)
         if ok:
             self._schedule(self.now + delay, "frame-arrival", dest,
@@ -328,15 +338,17 @@ class Simulator:
         node.state.purge_expired(self.now)
         if isinstance(message, ControlMessage):
             forward = node.state.process_message(message, sender, self.now)
-            self._log(node_id, "frame-arrival",
-                      f"{message.kind} from={sender} origin={message.originator}")
+            if self._event_log is not None:
+                self._log(node_id, "frame-arrival",
+                          f"{message.kind} from={sender} origin={message.originator}")
             if forward:
                 copy = message.forwarded_copy()
                 self._enqueue(node, Frame(copy, node_id, None, copy.size_bytes))
         else:
             message.hop_count += 1
-            self._log(node_id, "frame-arrival",
-                      f"DATA uid={message.uid[0]}:{message.uid[1]} from={sender}")
+            if self._event_log is not None:
+                self._log(node_id, "frame-arrival",
+                          f"DATA uid={message.uid[0]}:{message.uid[1]} from={sender}")
             self.route_data_packet(message, node_id, self.now)
 
     # -- data plane -------------------------------------------------------
@@ -347,18 +359,23 @@ class Simulator:
             self.counters.data_delivered += 1
             self.counters.e2ed_total += now - packet.origin_time
             self.counters.rpl_total += packet.hop_count
-            self._log(at, "frame-arrival",
-                      f"delivered uid={packet.uid[0]}:{packet.uid[1]} hops={packet.hop_count}")
+            if self._event_log is not None:
+                self._log(at, "frame-arrival", f"delivered uid={packet.uid[0]}:"
+                          f"{packet.uid[1]} hops={packet.hop_count}")
             return
         if packet.hop_count >= DATA_TTL_HOPS:
             self.counters.dropped_ttl += 1
-            self._log(at, "frame-arrival", f"drop-ttl uid={packet.uid[0]}:{packet.uid[1]}")
+            if self._event_log is not None:
+                self._log(at, "frame-arrival",
+                          f"drop-ttl uid={packet.uid[0]}:{packet.uid[1]}")
             return
         node = self.nodes[at]
         route = node.state.routing.get(packet.dest)
         if route is None:
             self.counters.dropped_no_route += 1
-            self._log(at, "frame-arrival", f"drop-no-route uid={packet.uid[0]}:{packet.uid[1]}")
+            if self._event_log is not None:
+                self._log(at, "frame-arrival",
+                          f"drop-no-route uid={packet.uid[0]}:{packet.uid[1]}")
             return
         next_hop = route[0]
         self._enqueue(node, Frame(packet, at, next_hop, packet.size_bytes))

@@ -17,12 +17,19 @@ import json
 import math
 import operator
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field, asdict
 
 SCENARIO_FORMAT = "olsrlab-scenario-v1"
 
 # speed envelope used by the bundled urban scenarios, in m/s (10-50 km/h)
 URBAN_SPEED_RANGE = (2.78, 13.88)
+
+# width of one time slot of the receiver-candidate table, in seconds
+CANDIDATE_SLOT = 1.0
+# slack on every candidate radius, in meters: far above the rounding of
+# interpolated positions and leg speeds, far below any radio range
+CANDIDATE_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -72,16 +79,76 @@ class CbrSession:
 
 @dataclass
 class MobilityTrace:
-    """Waypoints per node: node id -> [(time, x, y), ...] sorted by time."""
+    """Waypoints per node: node id -> [(time, x, y), ...] sorted by time.
+
+    The trace must not change once a simulation has run on it, because
+    the receiver-candidate tables are cached on it.
+    """
 
     waypoints: dict[int, list[tuple[float, float, float]]]
+    _candidates: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     @property
     def nodes(self) -> list[int]:
         return sorted(self.waypoints)
 
     def position(self, node: int, time: float) -> tuple[float, float]:
-        return position_at(self.waypoints[node], time)
+        """Same arithmetic as :func:`position_at`, inlined for the simulator."""
+        points = self.waypoints[node]
+        if time <= points[0][0]:
+            return points[0][1], points[0][2]
+        if time >= points[-1][0]:
+            return points[-1][1], points[-1][2]
+        i = bisect.bisect_right(points, time, key=_waypoint_time)
+        t0, x0, y0 = points[i - 1]
+        t1, x1, y1 = points[i]
+        frac = (time - t0) / (t1 - t0)
+        return x0 + frac * (x1 - x0), y0 + frac * (y1 - y0)
+
+    def receiver_candidates(self, tx_range: float) -> Callable[[int, float],
+                                                               tuple[int, ...]]:
+        """Return ``candidates(node, time)``: the other nodes, ascending,
+        that may be within ``tx_range`` of ``node`` at ``time >= 0``.
+
+        Time is cut into slots of ``CANDIDATE_SLOT`` seconds; the last slot
+        also covers every later time, after which nothing moves.  Node j is
+        a candidate of node i in a slot when their distance at the slot
+        start is at most ``tx_range + (v_i + v_j) * CANDIDATE_SLOT +
+        CANDIDATE_MARGIN``, where v is a node's top leg speed.  Neither node
+        moves farther than v * CANDIDATE_SLOT within the slot, so the
+        candidates are a superset of the nodes in range at any time in it.
+
+        The table depends only on the trace and ``tx_range``, so it is built
+        once, one slot at a time, and cached on the trace.
+        """
+        cached = self._candidates.get(tx_range)
+        if cached is not None:
+            return cached
+        nodes = self.nodes
+        reach = {n: _top_speed(self.waypoints[n]) * CANDIDATE_SLOT for n in nodes}
+        limit = tx_range + CANDIDATE_MARGIN
+        end = max(points[-1][0] for points in self.waypoints.values())
+        last = max(0, int(end / CANDIDATE_SLOT))
+        table: dict[int, list[tuple[int, ...]]] = {n: [] for n in nodes}
+        for k in range(last + 1):
+            pos = {n: self.position(n, k * CANDIDATE_SLOT) for n in nodes}
+            near: dict[int, list[int]] = {n: [] for n in nodes}
+            for a, i in enumerate(nodes):
+                for j in nodes[a + 1:]:
+                    if math.dist(pos[i], pos[j]) <= limit + reach[i] + reach[j]:
+                        near[i].append(j)
+                        near[j].append(i)
+            for n in nodes:
+                slots, found = table[n], tuple(near[n])
+                # consecutive slots mostly agree: share one tuple between them
+                slots.append(slots[-1] if slots and slots[-1] == found else found)
+
+        def candidates(node: int, time: float) -> tuple[int, ...]:
+            return table[node][min(int(time / CANDIDATE_SLOT), last)]
+
+        self._candidates[tx_range] = candidates
+        return candidates
 
     def validate(self, *, bounds: tuple[float, float] | None = None,
                  nodes: int | None = None) -> "MobilityTrace":
@@ -118,6 +185,13 @@ def position_at(points, time: float) -> tuple[float, float]:
     t1, x1, y1 = points[i]
     frac = (time - t0) / (t1 - t0)
     return x0 + frac * (x1 - x0), y0 + frac * (y1 - y0)
+
+
+def _top_speed(points) -> float:
+    """Fastest leg speed along a waypoint list; zero for a parked node."""
+    return max((math.dist((x0, y0), (x1, y1)) / (t1 - t0)
+                for (t0, x0, y0), (t1, x1, y1) in zip(points, points[1:])),
+               default=0.0)
 
 
 def generate_random_waypoint(area: tuple[float, float], nodes: int, duration: float,

@@ -112,7 +112,7 @@ def test_simulate_rejects_a_malformed_scenario_file(tmp_path, capsys, edit, name
     assert named in err
 
 
-def test_simulate_config_waiver_flag(tmp_path, capsys):
+def test_simulate_runs_any_runnable_config_and_has_no_waiver_flag(tmp_path, capsys):
     """No waiver flag: configs outside the tuning box run, unrunnable ones fail."""
     cfg = tmp_path / "subsecond.json"
     cfg.write_text(json.dumps({"format": "olsrlab-config-v1",

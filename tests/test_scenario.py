@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from olsrlab.scenario import (
     SESSION_PHASE,
@@ -63,6 +65,60 @@ def test_position_at_matches_a_linear_scan_including_exact_waypoint_times():
             assert position_at(points, time) == want
         for t, x, y in points:
             assert position_at(points, t) == (x, y)
+
+
+@st.composite
+def node_waypoints(draw):
+    """A parked node or a walk at up to 100 m/s, first waypoint at t >= 0.
+
+    Each leg runs at the node's top speed, so the node moves as far
+    within a slot as the candidate radius allows for.
+    """
+    t = draw(st.floats(0.0, 20.0))
+    x, y = draw(st.floats(0.0, 2000.0)), draw(st.floats(0.0, 2000.0))
+    speed = draw(st.floats(0.0, 100.0))
+    points = [(t, x, y)]
+    for _ in range(draw(st.integers(0, 6))):
+        dt = draw(st.floats(0.01, 15.0))
+        heading = draw(st.floats(0.0, 2.0 * math.pi))
+        t += dt
+        x += speed * dt * math.cos(heading)
+        y += speed * dt * math.sin(heading)
+        points.append((t, x, y))
+    return points
+
+
+@settings(max_examples=300, deadline=None)
+@given(paths=st.lists(node_waypoints(), min_size=2, max_size=8),
+       tx_range=st.one_of(st.floats(1.0, 600.0), st.none()), data=st.data())
+def test_receiver_candidates_contain_every_node_in_range(paths, tx_range, data):
+    trace = MobilityTrace(dict(enumerate(paths)))
+    nodes = st.integers(0, len(paths) - 1)
+    waypoint_times = sorted({t for points in paths for t, _, _ in points})
+    end = waypoint_times[-1]
+    # anywhere up to well past the trace end, or close to a waypoint,
+    # where the fastest legs begin and end
+    times = st.one_of(st.floats(0.0, end + 20.0),
+                      st.builds(lambda t, dt: max(0.0, t + dt),
+                                st.sampled_from(waypoint_times), st.floats(-2.0, 2.0)))
+    queries = data.draw(st.lists(st.tuples(nodes, times), min_size=1, max_size=10))
+
+    def where(node, time):
+        return position_at(trace.waypoints[node], time)
+
+    if tx_range is None:
+        # put one pair exactly at the range
+        node, time = queries[0]
+        tx_range = math.dist(where(node, time), where((node + 1) % len(paths), time))
+        assume(tx_range > 0.0)
+    candidates = trace.receiver_candidates(tx_range)
+    for node, time in queries:
+        near = candidates(node, time)
+        assert list(near) == sorted(near) and node not in near
+        for other in trace.waypoints:
+            assert trace.position(other, time) == where(other, time)
+            if other != node and math.dist(where(node, time), where(other, time)) <= tx_range:
+                assert other in near, (node, other, time)
 
 
 # ---------------------------------------------------------------------------
