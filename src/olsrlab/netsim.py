@@ -162,6 +162,7 @@ class Simulator:
         self._heap: list = []
         self._insertions = 0
         self._transmissions: list[_Transmission] = []
+        self._tx_range = scenario.radio_mac.tx_range
         self._candidates = None  # built on the first run, cached on the trace
         self.nodes: dict[int, _SimNode] = {}
         for node_id in self.scenario.trace.nodes:
@@ -182,7 +183,7 @@ class Simulator:
             self._event_log.write(f"{self.now:.6f} {subject} {kind} {detail}\n")
 
     def _in_range(self, a: tuple[float, float], b: tuple[float, float]) -> bool:
-        return math.dist(a, b) <= self.scenario.radio_mac.tx_range
+        return math.dist(a, b) <= self._tx_range
 
     def _airtime(self, frame: Frame) -> float:
         return frame.size_bytes * 8.0 / self.scenario.radio_mac.bandwidth
@@ -195,8 +196,7 @@ class Simulator:
 
     def run(self) -> QosMetrics:
         duration = self.scenario.duration
-        self._candidates = self.scenario.trace.receiver_candidates(
-            self.scenario.radio_mac.tx_range)
+        self._candidates = self.scenario.trace.receiver_candidates(self._tx_range)
         for node in self.nodes.values():
             self._schedule(node.state.next_emission(), "periodic-emit", node.node_id)
             self._schedule(PURGE_TICK, "tuple-purge", node.node_id)
@@ -287,9 +287,11 @@ class Simulator:
         node = self.nodes[node_id]
         frame = tx.frame
         # a transmission that ended before every one still on the air (this
-        # one included) began overlaps none of them, nor any later one
-        horizon = min(t.start for t in self._transmissions if t.end >= self.now)
-        self._transmissions = [t for t in self._transmissions if t.end > horizon]
+        # one included) began overlaps none of them, nor any later one; with
+        # this transmission alone on the list there is nothing to drop
+        if len(self._transmissions) > 1:
+            horizon = min(t.start for t in self._transmissions if t.end >= self.now)
+            self._transmissions = [t for t in self._transmissions if t.end > horizon]
         delay = self.scenario.radio_mac.processing_delay
         trace = self.scenario.trace
         if frame.dest is None:
