@@ -22,7 +22,7 @@ from dataclasses import asdict
 
 from . import configs as configs_mod
 from . import scenario as scenario_mod
-from .fitness import DEFAULT_WEIGHTS, FitnessWeights, OlsrObjective, comm_cost
+from .fitness import COST_WEIGHTS, OlsrObjective, comm_cost
 from .netsim import QosMetrics, run_simulation
 from .olsr import OlsrConfig
 from .optimizers import ALGORITHMS, BENCHMARKS, OptimizerConfig, RunRecord, search
@@ -74,34 +74,24 @@ def _resolve_config(name: str) -> tuple[str, OlsrConfig]:
     raise ValueError(f"unknown config {name!r}; bundled: {', '.join(sorted(named))}")
 
 
-def _parse_weights(text: str | None) -> FitnessWeights:
-    if not text:
-        return DEFAULT_WEIGHTS
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError("weights must be three comma-separated numbers: pdr,nrl,e2ed")
-    return FitnessWeights(pdr=parts[0], nrl=parts[1], e2ed=parts[2])
-
-
 # -- simulate ----------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
     spec = _resolve_scenario(args.scenario)
     label, config = _resolve_config(args.config)
-    weights = _parse_weights(args.weights)
     log_fh = open(args.event_log, "w") if args.event_log else None
     try:
         metrics = run_simulation(spec, config, args.seed, event_log=log_fh)
     finally:
         if log_fh:
             log_fh.close()
-    cost = comm_cost(metrics, weights)
+    cost = comm_cost(metrics)
     report = {
         "format": SIM_REPORT_FORMAT,
         "scenario": spec.name,
         "config": label,
         "seed": args.seed,
-        "weights": asdict(weights),
+        "weights": dict(COST_WEIGHTS),
         "metrics": asdict(metrics),
         "cost": cost,
     }
@@ -164,17 +154,15 @@ def _write_summary(outdir: str, by_alg: dict[str, list[RunRecord]]) -> dict:
         for row in rows:
             writer.writerow([row.algorithm, repr(row.time_to_best), repr(row.total_time)])
 
+    algorithm_entries = {}
+    for i, row in enumerate(rows):
+        entry = asdict(row)
+        del entry["algorithm"]
+        entry["friedman_rank"] = friedman.mean_ranks[i] if friedman else None
+        entry["kw_p_vs_rest"] = vs_rest[row.algorithm].p_value if vs_rest else None
+        algorithm_entries[row.algorithm] = entry
     doc = {
-        "algorithms": {
-            row.algorithm: {
-                "runs": row.runs, "mean": row.mean, "std": row.std,
-                "best": row.best, "median": row.median, "worst": row.worst,
-                "time_to_best": row.time_to_best, "total_time": row.total_time,
-                "friedman_rank": friedman.mean_ranks[i] if friedman else None,
-                "kw_p_vs_rest": vs_rest[row.algorithm].p_value if vs_rest else None,
-            }
-            for i, row in enumerate(rows)
-        },
+        "algorithms": algorithm_entries,
         "friedman": {"statistic": friedman.statistic, "p_value": friedman.p_value}
         if friedman else None,
         "kruskal_wallis": {"statistic": omnibus.statistic, "p_value": omnibus.p_value}
@@ -190,7 +178,6 @@ def cmd_optimize(args) -> int:
     for a in algorithms:
         if a not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {a!r}; pick from {', '.join(ALGORITHMS)}")
-    weights = _parse_weights(args.weights)
     outdir = args.outdir
     records_dir = os.path.join(outdir, "records")
     os.makedirs(records_dir, exist_ok=True)
@@ -198,7 +185,7 @@ def cmd_optimize(args) -> int:
     spec = None
     if args.objective == "sim":
         spec = _resolve_scenario(args.scenario)
-        objective = OlsrObjective(spec, weights, seeds=(args.eval_seed,))
+        objective = OlsrObjective(spec, seeds=(args.eval_seed,))
     else:
         objective = BENCHMARKS[args.objective]
 
@@ -225,7 +212,7 @@ def cmd_optimize(args) -> int:
         "population": args.population,
         "base_seed": args.base_seed,
         "eval_seed": args.eval_seed,
-        "weights": asdict(weights),
+        "weights": dict(COST_WEIGHTS),
         "records": sorted(n for n in os.listdir(records_dir) if n.endswith(".run")),
     }
     _atomic_write(os.path.join(outdir, "campaign.json"),
@@ -317,28 +304,25 @@ def cmd_report(args) -> int:
     if not by_alg:
         raise ValueError(f"no .run records under {records_dir}")
     os.makedirs(args.outdir, exist_ok=True)
-    formats = {f.strip() for f in args.format.split(",")}
 
     doc = _write_summary(args.outdir, by_alg)
-    if "csv" in formats:
-        with open(os.path.join(args.outdir, "trajectories.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["algorithm", "seed", "eval_index", "cost", "best_so_far"])
-            for algorithm, records in sorted(by_alg.items()):
-                for record in records:
-                    series = record.best_so_far()
-                    for (index, cost, _), best in zip(record.trajectory, series):
-                        writer.writerow([algorithm, record.seed, index,
-                                         repr(cost), repr(best)])
-    if "json" in formats:
-        traj = {
-            algorithm: {
-                str(record.seed): record.best_so_far() for record in records
-            }
-            for algorithm, records in sorted(by_alg.items())
+    with open(os.path.join(args.outdir, "trajectories.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["algorithm", "seed", "eval_index", "cost", "best_so_far"])
+        for algorithm, records in sorted(by_alg.items()):
+            for record in records:
+                series = record.best_so_far()
+                for (index, cost, _), best in zip(record.trajectory, series):
+                    writer.writerow([algorithm, record.seed, index,
+                                     repr(cost), repr(best)])
+    traj = {
+        algorithm: {
+            str(record.seed): record.best_so_far() for record in records
         }
-        _atomic_write(os.path.join(args.outdir, "trajectories.json"),
-                      json.dumps(traj, sort_keys=True) + "\n")
+        for algorithm, records in sorted(by_alg.items())
+    }
+    _atomic_write(os.path.join(args.outdir, "trajectories.json"),
+                  json.dumps(traj, sort_keys=True) + "\n")
     total = sum(len(v) for v in by_alg.values())
     print(f"report: {total} runs, algorithms: {', '.join(sorted(by_alg))} -> {args.outdir}")
     for algorithm, entry in doc["algorithms"].items():
@@ -359,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="bundled name or scenario JSON path")
     p.add_argument("--config", default="rfc3626", help="bundled label or config JSON path")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--weights", help="cost weights as pdr,nrl,e2ed")
     p.add_argument("--output", help="write a JSON report here")
     p.add_argument("--event-log", help="write the per-event trace here")
     p.set_defaults(func=cmd_simulate)
@@ -374,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-seed", type=int, default=1)
     p.add_argument("--eval-seed", type=int, default=0,
                    help="simulation seed shared by every evaluation")
-    p.add_argument("--weights", help="cost weights as pdr,nrl,e2ed")
     p.add_argument("--outdir", default=_default_outdir())
     p.set_defaults(func=cmd_optimize)
 
@@ -389,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="regenerate summaries from persisted records")
     p.add_argument("--records", required=True, help="directory of .run files")
-    p.add_argument("--format", default="csv,json")
     p.add_argument("--outdir", default=_default_outdir())
     p.set_defaults(func=cmd_report)
     return parser

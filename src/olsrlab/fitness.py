@@ -6,8 +6,10 @@ latency::
     cost = w_nrl * NRL + w_e2ed * E2ED - w_pdr * PDR
 
 with PDR as a fraction in [0, 1], NRL as a fraction (control frames per
-delivered data packet), and E2ED in seconds.  Lower is better; a perfect
-run with no overhead and no delay scores -w_pdr.
+delivered data packet), and E2ED in seconds.  The weights are the paper's
+fixed ``COST_WEIGHTS`` (pdr 0.5, nrl 0.2, e2ed 0.3); every run is scored
+with them.  Lower is better; a perfect run with no overhead and no delay
+scores -0.5.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 import statistics
 import time
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .netsim import QosMetrics, run_simulation
 from .olsr import OlsrConfig
@@ -23,16 +26,8 @@ from .params import decode_params
 from .scenario import ScenarioSpec
 
 
-@dataclass(frozen=True)
-class FitnessWeights:
-    """Relative importance of delivery, overhead, and latency."""
-
-    pdr: float = 0.5
-    nrl: float = 0.2
-    e2ed: float = 0.3
-
-
-DEFAULT_WEIGHTS = FitnessWeights()
+# Relative importance of delivery, overhead, and latency; read-only
+COST_WEIGHTS = MappingProxyType({"pdr": 0.5, "nrl": 0.2, "e2ed": 0.3})
 
 
 @dataclass(frozen=True)
@@ -46,7 +41,7 @@ class Evaluation:
     wall_time: float
 
 
-def comm_cost(metrics: QosMetrics, weights: FitnessWeights = DEFAULT_WEIGHTS) -> float:
+def comm_cost(metrics: QosMetrics) -> float:
     """Scalar cost of a metrics bundle; lower is better."""
     for name in ("pdr", "nrl", "e2ed"):
         if not math.isfinite(getattr(metrics, name)):
@@ -55,7 +50,8 @@ def comm_cost(metrics: QosMetrics, weights: FitnessWeights = DEFAULT_WEIGHTS) ->
         raise ValueError(f"pdr={metrics.pdr!r} outside [0, 1]")
     if metrics.nrl < 0 or metrics.e2ed < 0:
         raise ValueError("nrl and e2ed must be nonnegative")
-    return weights.nrl * metrics.nrl + weights.e2ed * metrics.e2ed - weights.pdr * metrics.pdr
+    w = COST_WEIGHTS
+    return w["nrl"] * metrics.nrl + w["e2ed"] * metrics.e2ed - w["pdr"] * metrics.pdr
 
 
 def _median_metrics(per_seed: list[QosMetrics]) -> QosMetrics:
@@ -74,12 +70,10 @@ class OlsrObjective:
     state between calls, so one objective can serve any number of searches.
     """
 
-    def __init__(self, scenario: ScenarioSpec, weights: FitnessWeights = DEFAULT_WEIGHTS,
-                 seeds=(0,)):
+    def __init__(self, scenario: ScenarioSpec, seeds=(0,)):
         if not seeds:
             raise ValueError("at least one simulation seed is required")
         self.scenario = scenario
-        self.weights = weights
         self.seeds = tuple(int(s) for s in seeds)
 
     def evaluate(self, raw) -> Evaluation:
@@ -87,7 +81,7 @@ class OlsrObjective:
         config = decode_params(raw)
         per_seed = [run_simulation(self.scenario, config, seed) for seed in self.seeds]
         metrics = _median_metrics(per_seed)
-        cost = comm_cost(metrics, self.weights)
+        cost = comm_cost(metrics)
         return Evaluation(config, metrics, cost, self.seeds[0],
                           time.perf_counter() - started)
 

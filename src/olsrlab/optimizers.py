@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .fitness import DEFAULT_WEIGHTS, Evaluation, FitnessWeights, OlsrObjective
+from .fitness import Evaluation
 from .netsim import QosMetrics
 from .olsr import OlsrConfig
 from .params import ParamSpace, decode_params, default_param_space
@@ -195,6 +195,9 @@ class _Recorder:
         candidate = tuple(float(v) for v in x)
         result = self.objective(candidate)
         cost = result.cost if isinstance(result, Evaluation) else float(result)
+        if not math.isfinite(cost):
+            raise ValueError(f"evaluation {len(self.trajectory)} returned a "
+                             f"non-finite cost: {cost!r}")
         self.trajectory.append((len(self.trajectory), cost, candidate))
         if cost < self.best_cost:
             self.best = result
@@ -389,7 +392,8 @@ def search(opt_config: OptimizerConfig, objective) -> RunRecord:
     The objective is called exactly ``budget`` times and returns either an
     :class:`Evaluation` (as :class:`OlsrObjective` does), which becomes the
     record's best, or a bare cost, whose best candidate is decoded into a
-    config with no metrics attached.
+    config with no metrics attached.  A non-finite cost raises
+    :class:`ValueError` at the evaluation that returned it.
     """
     opt_config.validate()
     space = default_param_space()
@@ -403,7 +407,7 @@ def search(opt_config: OptimizerConfig, objective) -> RunRecord:
     best = rec.best
     if not isinstance(best, Evaluation):
         best = Evaluation(
-            config=decode_params(rec.trajectory[rec.best_index][2], space),
+            config=decode_params(rec.trajectory[rec.best_index][2]),
             metrics=None,
             cost=rec.best_cost,
             seed=opt_config.seed,
@@ -418,9 +422,3 @@ def search(opt_config: OptimizerConfig, objective) -> RunRecord:
         time_to_best=rec.time_to_best,
         total_time=total,
     )
-
-
-def optimize(opt_config: OptimizerConfig, scenario, weights: FitnessWeights = DEFAULT_WEIGHTS,
-             *, eval_seeds=(0,)) -> RunRecord:
-    """Tune the protocol for a scenario; exactly ``budget`` evaluations."""
-    return search(opt_config, OlsrObjective(scenario, weights, eval_seeds))

@@ -75,10 +75,9 @@ def default_param_space() -> ParamSpace:
     )
 
 
-def decode_params(raw, space: ParamSpace | None = None) -> OlsrConfig:
+def decode_params(raw) -> OlsrConfig:
     """Clamp-and-round a raw vector into a validated OlsrConfig."""
-    if space is None:
-        space = default_param_space()
+    space = default_param_space()
     values = list(raw)
     if len(values) != len(space):
         raise ValueError(f"expected {len(space)} parameters, got {len(values)}")

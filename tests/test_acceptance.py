@@ -7,16 +7,10 @@ lines; the whole gate finishes in a few minutes on a laptop.
 import random
 import statistics
 
-from olsrlab.fitness import comm_cost
+from olsrlab.fitness import OlsrObjective, comm_cost
 from olsrlab.netsim import QosMetrics, run_simulation
 from olsrlab.olsr import NodeState, OlsrConfig, compute_routing_table, select_mprs
-from olsrlab.optimizers import (
-    OptimizerConfig,
-    optimize,
-    rastrigin,
-    search,
-    sphere,
-)
+from olsrlab.optimizers import OptimizerConfig, rastrigin, search, sphere
 from olsrlab.scenario import catalog
 from olsrlab.stats import friedman_mean_ranks, kruskal_wallis
 
@@ -88,8 +82,8 @@ def test_criterion_4_bitwise_determinism():
     metrics_ok = len({repr(m) for m in metrics}) == 1
 
     texts = {
-        optimize(OptimizerConfig("RAND", budget=2, seed=5), base,
-                 eval_seeds=(42,)).to_text(include_timing=False)
+        search(OptimizerConfig("RAND", budget=2, seed=5),
+               OlsrObjective(base, seeds=(42,))).to_text(include_timing=False)
         for _ in range(10)
     }
     records_ok = len(texts) == 1
@@ -125,8 +119,8 @@ def test_criterion_5_metaheuristics_beat_random_on_benchmarks():
 
 def test_criterion_6_tuning_beats_the_standard_config():
     spec = catalog()["congested-small"]
-    record = optimize(OptimizerConfig("PSO", budget=200, population=10, seed=1),
-                      spec, eval_seeds=(0,))
+    record = search(OptimizerConfig("PSO", budget=200, population=10, seed=1),
+                    OlsrObjective(spec, seeds=(0,)))
     tuned = record.best.config
     seeds = range(101, 106)  # held out from the tuning seed
     tuned_runs = [run_simulation(spec, tuned, s) for s in seeds]

@@ -32,6 +32,7 @@ def test_simulate_prints_metrics_and_writes_a_report(tmp_path, capsys):
     assert doc["format"] == "olsrlab-sim-report-v1"
     assert doc["scenario"] == "static-mesh-smoke"
     assert doc["metrics"]["pdr"] == 1.0
+    assert doc["weights"] == {"e2ed": 0.3, "nrl": 0.2, "pdr": 0.5}
     assert doc["cost"] == pytest.approx(
         0.2 * doc["metrics"]["nrl"] + 0.3 * doc["metrics"]["e2ed"] - 0.5)
 
@@ -135,11 +136,16 @@ def test_simulate_runs_any_runnable_config_and_has_no_waiver_flag(tmp_path, caps
     assert "unrecognized arguments: --allow-invalid-config" in capsys.readouterr().err
 
 
-def test_simulate_rejects_malformed_weights(capsys):
-    rc = main(["simulate", "--scenario", "static-mesh-smoke",
-               "--weights", "0.5,0.2"])
-    assert rc == 2
-    assert "three comma-separated" in capsys.readouterr().err
+@pytest.mark.parametrize("argv,flag", [
+    (["simulate", "--scenario", "static-mesh-smoke", "--weights", "1,0,0"], "--weights"),
+    (["optimize", "--objective", "sphere", "--weights", "1,0,0"], "--weights"),
+    (["report", "--records", "records", "--format", "json"], "--format"),
+], ids=["simulate", "optimize", "report"])
+def test_the_cost_weights_and_report_formats_are_not_options(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +171,7 @@ def test_optimize_campaign_layout(tmp_path, capsys):
     manifest = json.loads(read(outdir / "campaign.json"))
     assert manifest["format"] == "olsrlab-campaign-v1"
     assert manifest["algorithms"] == ["RAND", "SA"]
+    assert manifest["weights"] == {"e2ed": 0.3, "nrl": 0.2, "pdr": 0.5}
     assert manifest["records"] == records
 
     summary = json.loads(read(outdir / "summary.json"))
@@ -310,16 +317,6 @@ def test_report_regenerates_summaries_and_trajectories(tmp_path):
 
     assert (outdir / "summary.csv").exists()
     assert (outdir / "timing.csv").exists()
-
-
-def test_report_format_filter(tmp_path):
-    campaign = tmp_path / "camp"
-    run_tiny_campaign(campaign)
-    outdir = tmp_path / "rep"
-    main(["report", "--records", str(campaign / "records"), "--format", "json",
-          "--outdir", str(outdir)])
-    assert (outdir / "trajectories.json").exists()
-    assert not (outdir / "trajectories.csv").exists()
 
 
 def test_report_missing_directory(tmp_path, capsys):

@@ -4,13 +4,7 @@ import statistics
 
 import pytest
 
-from olsrlab.fitness import (
-    DEFAULT_WEIGHTS,
-    FitnessWeights,
-    OlsrObjective,
-    _median_metrics,
-    comm_cost,
-)
+from olsrlab.fitness import COST_WEIGHTS, OlsrObjective, _median_metrics, comm_cost
 from olsrlab.netsim import QosMetrics, run_simulation
 from olsrlab.olsr import OlsrConfig
 from olsrlab.scenario import catalog
@@ -29,6 +23,7 @@ def test_perfect_run_scores_minus_half():
 
 
 def test_weighted_sum_matches_hand_arithmetic():
+    assert COST_WEIGHTS == {"pdr": 0.5, "nrl": 0.2, "e2ed": 0.3}
     m = metrics(pdr=1.0, nrl=0.0271, e2ed=0.0156)
     expected = 0.2 * 0.0271 + 0.3 * 0.0156 - 0.5 * 1.0
     value = comm_cost(m)
@@ -36,13 +31,6 @@ def test_weighted_sum_matches_hand_arithmetic():
     # 0.00542 + 0.00468 - 0.5 by hand
     assert abs(value - (-0.4899)) < 1e-9
     assert abs(value - (-0.480)) < 0.01
-
-
-def test_custom_weights():
-    m = metrics(pdr=0.8, nrl=2.0, e2ed=0.05)
-    w = FitnessWeights(pdr=1.0, nrl=0.1, e2ed=0.0)
-    assert comm_cost(m, w) == pytest.approx(0.1 * 2.0 - 1.0 * 0.8)
-    assert DEFAULT_WEIGHTS == FitnessWeights(0.5, 0.2, 0.3)
 
 
 @pytest.mark.parametrize("bad", [

@@ -16,7 +16,6 @@ from olsrlab.optimizers import (
     RunRecord,
     de_step,
     ga_step,
-    optimize,
     pso_step,
     rastrigin,
     sa_step,
@@ -79,6 +78,15 @@ def test_budget_equal_to_population_stops_after_initialization(algorithm):
     objective = CountingSphere()
     search(OptimizerConfig(algorithm, budget=10, population=10, seed=5), objective)
     assert objective.calls == 10
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_cost_fails_the_run_at_the_evaluation_that_returned_it(bad):
+    with pytest.raises(ValueError, match="evaluation 0 returned a non-finite cost"):
+        search(OptimizerConfig("RAND", budget=3, seed=1), lambda x: bad)
+    costs = iter([1.0, bad, 2.0])
+    with pytest.raises(ValueError, match="evaluation 1 returned a non-finite cost"):
+        search(OptimizerConfig("RAND", budget=3, seed=1), lambda x: next(costs))
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -223,8 +231,8 @@ def test_from_text_rejects_other_formats():
 
 
 def test_optimize_attaches_simulation_metrics_and_round_trips():
-    record = optimize(OptimizerConfig("RAND", budget=4, seed=2),
-                      catalog()["static-mesh-smoke"], eval_seeds=(1,))
+    record = search(OptimizerConfig("RAND", budget=4, seed=2),
+                    OlsrObjective(catalog()["static-mesh-smoke"], seeds=(1,)))
     assert len(record.trajectory) == 4
     assert record.best.metrics is not None
     assert 0.0 <= record.best.metrics.pdr <= 1.0
