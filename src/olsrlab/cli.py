@@ -212,7 +212,8 @@ def cmd_optimize(args) -> int:
         "population": args.population,
         "base_seed": args.base_seed,
         "eval_seed": args.eval_seed,
-        "weights": dict(COST_WEIGHTS),
+        # a benchmark objective computes no communication cost
+        "weights": dict(COST_WEIGHTS) if spec else None,
         "records": sorted(n for n in os.listdir(records_dir) if n.endswith(".run")),
     }
     _atomic_write(os.path.join(outdir, "campaign.json"),

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import olsrlab
 from olsrlab.cli import main
 from olsrlab.optimizers import RunRecord
 from olsrlab.scenario import catalog, save_scenario
@@ -171,7 +174,8 @@ def test_optimize_campaign_layout(tmp_path, capsys):
     manifest = json.loads(read(outdir / "campaign.json"))
     assert manifest["format"] == "olsrlab-campaign-v1"
     assert manifest["algorithms"] == ["RAND", "SA"]
-    assert manifest["weights"] == {"e2ed": 0.3, "nrl": 0.2, "pdr": 0.5}
+    # sphere computes no communication cost, so no cost weights apply
+    assert manifest["weights"] is None
     assert manifest["records"] == records
 
     summary = json.loads(read(outdir / "summary.json"))
@@ -229,6 +233,8 @@ def test_optimize_with_the_simulation_objective_stores_metrics(tmp_path):
     record = RunRecord.from_text(read(outdir / "records" / "RAND-seed000001.run"))
     assert record.best.metrics is not None
     assert record.best.metrics.pdr == 1.0
+    manifest = json.loads(read(outdir / "campaign.json"))
+    assert manifest["weights"] == {"e2ed": 0.3, "nrl": 0.2, "pdr": 0.5}
 
 
 def test_optimize_sim_objective_requires_a_scenario():
@@ -332,3 +338,33 @@ def test_report_empty_directory(tmp_path, capsys):
     rc = main(["report", "--records", str(empty), "--outdir", str(tmp_path / "rep")])
     assert rc == 2
     assert "no .run records" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# import path
+# ---------------------------------------------------------------------------
+
+RUN_WITHOUT_SCIPY = """
+import sys
+from olsrlab.cli import main
+out = sys.argv[1]
+assert main(["simulate", "--scenario", "static-mesh-smoke", "--seed", "1"]) == 0
+assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND,SA",
+             "--runs", "2", "--budget", "4", "--outdir", out + "/camp"]) == 0
+assert main(["report", "--records", out + "/camp/records", "--outdir", out + "/rep"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_simulate_optimize_and_report_never_import_scipy(tmp_path):
+    # numpy is the only run-time dependency; scipy serves the tests alone
+    src = os.path.dirname(os.path.dirname(olsrlab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", RUN_WITHOUT_SCIPY, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(read(tmp_path / "camp" / "summary.json"))
+    assert summary["friedman"] is not None
+    assert summary["kruskal_wallis"] is not None
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -10,6 +10,7 @@ import scipy.stats
 from olsrlab.optimizers import OptimizerConfig, search, sphere
 from olsrlab.stats import (
     AlgorithmSummary,
+    _chi2_sf,
     _midranks,
     friedman_mean_ranks,
     kruskal_wallis,
@@ -35,6 +36,26 @@ def test_midranks_average_tied_positions():
     assert _midranks([10, 20, 20, 30]) == [1.0, 2.5, 2.5, 4.0]
     assert _midranks([5, 5, 5]) == [2.0, 2.0, 2.0]
     assert _midranks([3, 1, 2]) == [3.0, 1.0, 2.0]
+
+
+# ---------------------------------------------------------------------------
+# chi-square upper tail
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("df", range(1, 31))
+def test_chi2_tail_matches_scipy(df):
+    rng = random.Random(df)
+    xs = [-3.0, 0.0, 1e-12, 0.5, 1.0, df - 1e-9, float(df), df + 1e-9, 2.0 * df, 1500.0]
+    xs += [rng.uniform(0.0, 3.0 * df) for _ in range(200)]
+    xs += [rng.uniform(0.0, 1500.0) for _ in range(200)]
+    xs += [10.0 ** rng.uniform(-12.0, 3.0) for _ in range(100)]
+    for x in xs:
+        mine = _chi2_sf(x, df)
+        want = float(scipy.stats.chi2.sf(x, df))
+        if want > 1e-250:
+            assert abs(mine - want) <= 1e-12 * want, (df, x, mine, want)
+        else:
+            assert abs(mine - want) <= 1e-250, (df, x, mine, want)
 
 
 # ---------------------------------------------------------------------------
