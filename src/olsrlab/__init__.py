@@ -14,7 +14,6 @@ from .scenario import (
     catalog,
     generate_random_waypoint,
     load_scenario,
-    position_at,
     save_scenario,
 )
 from .stats import friedman_mean_ranks, kruskal_wallis, summary_table

@@ -32,12 +32,11 @@ COST_WEIGHTS = MappingProxyType({"pdr": 0.5, "nrl": 0.2, "e2ed": 0.3})
 
 @dataclass(frozen=True)
 class Evaluation:
-    """One scored candidate: decoded config, metrics, cost, provenance."""
+    """One scored candidate: decoded config, metrics, cost and wall time."""
 
     config: OlsrConfig
     metrics: QosMetrics | None
     cost: float
-    seed: int
     wall_time: float
 
 
@@ -82,8 +81,7 @@ class OlsrObjective:
         per_seed = [run_simulation(self.scenario, config, seed) for seed in self.seeds]
         metrics = _median_metrics(per_seed)
         cost = comm_cost(metrics)
-        return Evaluation(config, metrics, cost, self.seeds[0],
-                          time.perf_counter() - started)
+        return Evaluation(config, metrics, cost, time.perf_counter() - started)
 
     def __call__(self, raw) -> Evaluation:
         return self.evaluate(raw)

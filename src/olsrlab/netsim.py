@@ -20,6 +20,10 @@ for protocol tuning:
 Events are processed in nondecreasing time with ties broken by
 (time, kind precedence, subject id, insertion order), so a run is a pure
 function of (scenario, config, seed).
+
+A node's protocol state is purged of expired tuples at the start of every
+handler that reads it (periodic emission, CBR send, frame arrival), and
+nothing else reads it, so no separate expiry timer is scheduled.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .olsr import ControlMessage, NodeState, OlsrConfig
 from .scenario import ScenarioSpec
 
 DATA_TTL_HOPS = 64   # hop budget for data packets
-PURGE_TICK = 1.0     # seconds between per-node expiry sweeps
 
 EVENT_ORDER = {
     "frame-arrival": 0,
@@ -41,8 +44,7 @@ EVENT_ORDER = {
     "frame-txend": 2,
     "periodic-emit": 3,
     "cbr-send": 4,
-    "tuple-purge": 5,
-    "sim-end": 6,
+    "sim-end": 5,
 }
 
 
@@ -154,7 +156,6 @@ class Simulator:
         config.validate()
         self.scenario = scenario
         self.config = config
-        self.seed = seed
         self.rng = Random(seed)
         self.counters = Counters()
         self.now = 0.0
@@ -199,7 +200,6 @@ class Simulator:
         self._candidates = self.scenario.trace.receiver_candidates(self._tx_range)
         for node in self.nodes.values():
             self._schedule(node.state.next_emission(), "periodic-emit", node.node_id)
-            self._schedule(PURGE_TICK, "tuple-purge", node.node_id)
         for si, session in enumerate(self.scenario.sessions):
             for k, t in enumerate(session.send_times()):
                 self._schedule(t, "cbr-send", session.source, (si, k, session))
@@ -227,14 +227,6 @@ class Simulator:
             if self._event_log is not None:
                 self._log(node_id, "periodic-emit", f"{msg.kind} seq={msg.seq}")
         self._schedule(node.state.next_emission(), "periodic-emit", node_id)
-
-    def _on_tuple_purge(self, node_id: int, _payload) -> None:
-        node = self.nodes[node_id]
-        if node.state.purge_expired(self.now):
-            self._log(node_id, "tuple-purge", "expired")
-        nxt = self.now + PURGE_TICK
-        if nxt <= self.scenario.duration:
-            self._schedule(nxt, "tuple-purge", node_id)
 
     def _on_cbr_send(self, source: int, payload) -> None:
         si, k, session = payload

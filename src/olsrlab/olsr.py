@@ -115,6 +115,9 @@ class ControlMessage:
     ``symmetric_listed``) are parsed from the payload on first use and
     cached on the message.  A forwarded copy parses afresh.  A node listed
     more than once counts under every code it is listed with.
+
+    The header's hop count is not modelled: nothing reads it, so a
+    forwarded copy only spends TTL.  Its bytes stay in ``MSG_HEADER_BYTES``.
     """
 
     kind: str
@@ -123,7 +126,6 @@ class ControlMessage:
     payload: tuple
     validity_time: float
     ttl: int
-    hop_count: int = 0
     willingness: int | None = None
 
     @property
@@ -132,7 +134,7 @@ class ControlMessage:
         return MSG_HEADER_BYTES + MSG_ENTRY_BYTES * len(self.payload)
 
     def forwarded_copy(self) -> "ControlMessage":
-        return replace(self, ttl=self.ttl - 1, hop_count=self.hop_count + 1)
+        return replace(self, ttl=self.ttl - 1)
 
     @cached_property
     def listed(self) -> frozenset:
@@ -239,7 +241,10 @@ class NodeState:
       it stale, and reading ``routing`` recomputes it.
 
     Every call passes a time ``now`` that never decreases from one call to
-    the next; the front drop of ``duplicates`` relies on it.
+    the next; the front drop of ``duplicates`` relies on it.  Expired
+    tuples stay stored until :meth:`purge_expired` runs, so a caller
+    purges at ``now`` before it reads the state; the simulator does so at
+    the start of every handler that reads it, and nothing else reads it.
     """
 
     def __init__(self, self_id: int, config: OlsrConfig, *, now: float = 0.0, rng=None):

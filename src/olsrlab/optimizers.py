@@ -124,7 +124,6 @@ class RunRecord:
             "best_cost": self.best.cost,
             "best_config": asdict(self.best.config),
             "best_metrics": asdict(self.best.metrics) if self.best.metrics is not None else None,
-            "best_seed": self.best.seed,
         }
         if include_timing:
             summary["time_to_best"] = self.time_to_best
@@ -138,6 +137,8 @@ class RunRecord:
 
     @classmethod
     def from_text(cls, text: str) -> "RunRecord":
+        """Parse :meth:`to_text` output; the ``best_seed`` key that older
+        records carry is ignored."""
         lines = text.strip().splitlines()
         if not lines or lines[0] != RUN_FORMAT:
             raise ValueError(f"unsupported run record format: {lines[:1]!r}")
@@ -154,7 +155,6 @@ class RunRecord:
             config=OlsrConfig(**summary["best_config"]),
             metrics=QosMetrics(**metrics) if metrics is not None else None,
             cost=summary["best_cost"],
-            seed=summary.get("best_seed", header["seed"]),
             wall_time=summary.get("best_wall_time", 0.0),
         )
         return cls(
@@ -410,7 +410,6 @@ def search(opt_config: OptimizerConfig, objective) -> RunRecord:
             config=decode_params(rec.trajectory[rec.best_index][2]),
             metrics=None,
             cost=rec.best_cost,
-            seed=opt_config.seed,
             wall_time=0.0,
         )
     return RunRecord(

@@ -94,7 +94,7 @@ class MobilityTrace:
         return sorted(self.waypoints)
 
     def position(self, node: int, time: float) -> tuple[float, float]:
-        """Same arithmetic as :func:`position_at`, inlined for the simulator."""
+        """Linear interpolation along the node's waypoints, clamped at both ends."""
         points = self.waypoints[node]
         if time <= points[0][0]:
             return points[0][1], points[0][2]
@@ -172,19 +172,6 @@ class MobilityTrace:
 
 
 _waypoint_time = operator.itemgetter(0)
-
-
-def position_at(points, time: float) -> tuple[float, float]:
-    """Linear interpolation along a waypoint list, clamped at both ends."""
-    if time <= points[0][0]:
-        return points[0][1], points[0][2]
-    if time >= points[-1][0]:
-        return points[-1][1], points[-1][2]
-    i = bisect.bisect_right(points, time, key=_waypoint_time)
-    t0, x0, y0 = points[i - 1]
-    t1, x1, y1 = points[i]
-    frac = (time - t0) / (t1 - t0)
-    return x0 + frac * (x1 - x0), y0 + frac * (y1 - y0)
 
 
 def _top_speed(points) -> float:

@@ -5,6 +5,7 @@ breadth-first search, textbook rank statistics) and deliberately shares no
 code with the package under test.
 """
 
+import bisect
 import itertools
 import math
 import random
@@ -68,6 +69,23 @@ def random_neighborhood(rng: random.Random):
             if rng.random() < 0.5:
                 two_hop.add((via, target))
     return will, two_hop
+
+
+# ---------------------------------------------------------------------------
+# mobility: interpolation along one node's waypoints
+# ---------------------------------------------------------------------------
+
+def position_at(points, time: float) -> tuple[float, float]:
+    """Linear interpolation along a waypoint list, clamped at both ends."""
+    if time <= points[0][0]:
+        return points[0][1], points[0][2]
+    if time >= points[-1][0]:
+        return points[-1][1], points[-1][2]
+    i = bisect.bisect_right(points, time, key=lambda point: point[0])
+    t0, x0, y0 = points[i - 1]
+    t1, x1, y1 = points[i]
+    frac = (time - t0) / (t1 - t0)
+    return x0 + frac * (x1 - x0), y0 + frac * (y1 - y0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from olsrlab.netsim import (
     collect_metrics,
     run_simulation,
 )
-from olsrlab.olsr import OlsrConfig
+from olsrlab.olsr import NodeState, OlsrConfig
 from olsrlab.scenario import (
     CANDIDATE_SLOT,
     CbrSession,
@@ -24,8 +24,9 @@ from olsrlab.scenario import (
     ScenarioSpec,
     catalog,
     generate_random_waypoint,
-    position_at,
 )
+
+from oracles import position_at
 
 
 def pair_scenario(distance, **radio):
@@ -329,6 +330,55 @@ def test_held_out_runs_reproduce_their_pinned_metrics(name, seed, expected):
     # a seed and a scenario the channel's receiver filter was not written
     # against; the values predate the filter
     assert run_simulation(catalog()[name], OlsrConfig(), seed) == expected
+
+
+# ---------------------------------------------------------------------------
+# protocol state is purged where it is read
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["congested-small", "base-malaga-like"])
+def test_every_read_of_node_state_follows_a_purge_at_the_same_time(name, monkeypatch):
+    """No timer sweeps expired tuples, so each handler must purge a node's
+    state before it reads it: applying a message, emitting, and choosing
+    the next hop of a data packet the node does not consume."""
+    last_purge = {}
+    checks = dict.fromkeys(("process_message", "emit_periodic", "route_data_packet"), 0)
+    violations = []
+
+    def check(kind, state, now):
+        checks[kind] += 1
+        if last_purge.get(state) != now:
+            violations.append((kind, state.self_id, now, last_purge.get(state)))
+
+    purge_expired = NodeState.purge_expired
+    process_message = NodeState.process_message
+    emit_periodic = NodeState.emit_periodic
+    route_data_packet = Simulator.route_data_packet
+
+    def purge_wrapper(state, now):
+        last_purge[state] = now
+        return purge_expired(state, now)
+
+    def process_wrapper(state, msg, sender, now):
+        check("process_message", state, now)
+        return process_message(state, msg, sender, now)
+
+    def emit_wrapper(state, now, rng=None):
+        check("emit_periodic", state, now)
+        return emit_periodic(state, now, rng)
+
+    def route_wrapper(sim, packet, at, now):
+        if at != packet.dest:
+            check("route_data_packet", sim.nodes[at].state, now)
+        return route_data_packet(sim, packet, at, now)
+
+    monkeypatch.setattr(NodeState, "purge_expired", purge_wrapper)
+    monkeypatch.setattr(NodeState, "process_message", process_wrapper)
+    monkeypatch.setattr(NodeState, "emit_periodic", emit_wrapper)
+    monkeypatch.setattr(Simulator, "route_data_packet", route_wrapper)
+    run_simulation(catalog()[name], OlsrConfig(), 1)
+    assert all(checks.values()), checks
+    assert not violations, f"{len(violations)} reads without a purge, first {violations[:5]}"
 
 
 # ---------------------------------------------------------------------------

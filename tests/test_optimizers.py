@@ -1,5 +1,6 @@
 """Metaheuristics: budget accounting, step mechanics, run records."""
 
+import json
 import math
 
 import numpy as np
@@ -225,6 +226,17 @@ def test_record_without_timing_round_trips_with_zeroed_clocks():
     assert (clone.time_to_best, clone.total_time, clone.best.wall_time) == (0.0, 0.0, 0.0)
 
 
+def test_record_with_a_best_seed_loads_and_is_rewritten_without_it():
+    record = search(OptimizerConfig("RAND", budget=3, seed=4), sphere)
+    lines = record.to_text().splitlines()
+    summary = json.loads(lines[-1])
+    summary["best_seed"] = 4
+    older = "\n".join(lines[:-1] + [json.dumps(summary, sort_keys=True)]) + "\n"
+    clone = RunRecord.from_text(older)
+    assert clone == record
+    assert "best_seed" not in clone.to_text()
+
+
 def test_from_text_rejects_other_formats():
     with pytest.raises(ValueError, match="format"):
         RunRecord.from_text("something-else v9\n{}\n{}\n")
@@ -271,7 +283,6 @@ def records(draw):
         config=decode_params(draw(vectors)),
         metrics=draw(st.none() | metrics),
         cost=draw(finite),
-        seed=draw(st.integers(0, 2**31)),
         wall_time=draw(nonnegative),
     )
     return RunRecord(
@@ -292,7 +303,7 @@ def test_record_text_round_trips_any_finite_record(record, include_timing):
     if not include_timing:
         record.time_to_best = record.total_time = 0.0
         record.best = Evaluation(record.best.config, record.best.metrics, record.best.cost,
-                                 record.best.seed, 0.0)
+                                 0.0)
     assert clone == record
 
 

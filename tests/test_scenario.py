@@ -17,9 +17,10 @@ from olsrlab.scenario import (
     catalog,
     generate_random_waypoint,
     load_scenario,
-    position_at,
     save_scenario,
 )
+
+from oracles import position_at
 
 
 # ---------------------------------------------------------------------------
