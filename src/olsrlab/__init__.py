@@ -5,7 +5,7 @@ from .fitness import COST_WEIGHTS, Evaluation, OlsrObjective, comm_cost
 from .netsim import QosMetrics, Simulator, collect_metrics, run_simulation
 from .olsr import ControlMessage, NodeState, OlsrConfig, compute_routing_table, select_mprs
 from .optimizers import OptimizerConfig, RunRecord, search
-from .params import ParamSpace, decode_params, default_param_space
+from .params import decode_params
 from .scenario import (
     CbrSession,
     MobilityTrace,

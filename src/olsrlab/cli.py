@@ -7,7 +7,10 @@ diagnostic to stderr.
 
 Campaigns persist one record file per (algorithm, seed) and resume by
 skipping records that already exist, so an interrupted run can simply be
-restarted with the same flags.
+restarted with the same flags.  ``campaign.json`` is written before the
+first run; a restart that adds algorithms or runs is accepted, but one
+whose objective, scenario, budget, population or eval seed differ from it
+is refused before any record is written.
 """
 
 from __future__ import annotations
@@ -173,14 +176,35 @@ def _write_summary(outdir: str, by_alg: dict[str, list[RunRecord]]) -> dict:
     return doc
 
 
+# the settings every record of one campaign shares
+CAMPAIGN_KEYS = ("objective", "scenario", "budget", "population", "eval_seed")
+
+
+def _check_same_campaign(path: str, manifest: dict) -> None:
+    """Refuse to resume a campaign whose shared settings differ."""
+    if not os.path.exists(path):
+        return
+    with open(path) as fh:
+        existing = json.load(fh)
+    if not isinstance(existing, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(existing).__name__}")
+    differing = [f"{key} {existing.get(key)!r} != {manifest[key]!r}"
+                 for key in CAMPAIGN_KEYS if existing.get(key) != manifest[key]]
+    if differing:
+        raise ValueError(f"{path} belongs to another campaign ({'; '.join(differing)}); "
+                         "use another --outdir")
+
+
 def cmd_optimize(args) -> int:
     algorithms = [a.strip().upper() for a in args.algorithms.split(",")]
     for a in algorithms:
         if a not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {a!r}; pick from {', '.join(ALGORITHMS)}")
+        # before campaign.json fixes the settings, so a retry may correct them
+        OptimizerConfig(a, budget=args.budget, population=args.population).validate()
     outdir = args.outdir
     records_dir = os.path.join(outdir, "records")
-    os.makedirs(records_dir, exist_ok=True)
+    manifest_path = os.path.join(outdir, "campaign.json")
 
     spec = None
     if args.objective == "sim":
@@ -188,19 +212,6 @@ def cmd_optimize(args) -> int:
         objective = OlsrObjective(spec, seeds=(args.eval_seed,))
     else:
         objective = BENCHMARKS[args.objective]
-
-    executed = 0
-    for algorithm in algorithms:
-        for i in range(args.runs):
-            seed = args.base_seed + i
-            path = _record_path(records_dir, algorithm, seed)
-            if os.path.exists(path):
-                continue
-            cfg = OptimizerConfig(algorithm, budget=args.budget,
-                                  population=args.population, seed=seed)
-            record = search(cfg, objective)
-            _atomic_write(path, record.to_text())
-            executed += 1
 
     manifest = {
         "format": "olsrlab-campaign-v1",
@@ -214,10 +225,28 @@ def cmd_optimize(args) -> int:
         "eval_seed": args.eval_seed,
         # a benchmark objective computes no communication cost
         "weights": dict(COST_WEIGHTS) if spec else None,
-        "records": sorted(n for n in os.listdir(records_dir) if n.endswith(".run")),
     }
-    _atomic_write(os.path.join(outdir, "campaign.json"),
-                  json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    _check_same_campaign(manifest_path, manifest)
+    os.makedirs(records_dir, exist_ok=True)
+
+    def write_manifest():
+        manifest["records"] = sorted(n for n in os.listdir(records_dir) if n.endswith(".run"))
+        _atomic_write(manifest_path, json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+
+    write_manifest()
+    executed = 0
+    for algorithm in algorithms:
+        for i in range(args.runs):
+            seed = args.base_seed + i
+            path = _record_path(records_dir, algorithm, seed)
+            if os.path.exists(path):
+                continue
+            cfg = OptimizerConfig(algorithm, budget=args.budget,
+                                  population=args.population, seed=seed)
+            record = search(cfg, objective)
+            _atomic_write(path, record.to_text())
+            executed += 1
+    write_manifest()
 
     by_alg = _campaign_records(records_dir)
     doc = _write_summary(outdir, by_alg)

@@ -67,7 +67,7 @@ class OlsrConfig:
 
         Every time must be finite and positive, and willingness an integer
         in [WILL_NEVER, WILL_ALWAYS].  The tuning box the optimizers search
-        is narrower; it lives in :func:`olsrlab.params.default_param_space`.
+        is narrower; it lives in :data:`olsrlab.params.LOWER` and ``UPPER``.
 
         No lower bound is set on a time, so a tiny interval validates but
         is costly: simulation cost grows as 1/interval.  At seed 1,
@@ -90,16 +90,7 @@ class OlsrConfig:
         return self
 
     def as_vector(self) -> tuple[float, ...]:
-        return (
-            self.hello_interval,
-            self.refresh_interval,
-            self.tc_interval,
-            float(self.willingness),
-            self.neighb_hold_time,
-            self.top_hold_time,
-            self.mid_hold_time,
-            self.dup_hold_time,
-        )
+        return tuple(float(getattr(self, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True)

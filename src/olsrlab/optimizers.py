@@ -18,13 +18,14 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
 from .fitness import Evaluation
 from .netsim import QosMetrics
 from .olsr import OlsrConfig
-from .params import ParamSpace, decode_params, default_param_space
+from .params import LOWER, UPPER, decode_params
 
 ALGORITHMS = ("PSO", "DE", "GA", "SA", "RAND")
 POPULATION_BASED = ("PSO", "DE", "GA")
@@ -209,16 +210,14 @@ class _Recorder:
 
 # -- step functions ---------------------------------------------------------
 
-def pso_step(positions, velocities, personal_best, global_best, space: ParamSpace,
-             rng, inertia: float = INERTIA, cognitive_coef: float = COGNITIVE_COEF,
+def pso_step(positions, velocities, personal_best, global_best, lo, hi, rng,
+             inertia: float = INERTIA, cognitive_coef: float = COGNITIVE_COEF,
              social_coef: float = SOCIAL_COEF):
     """One velocity/position update of the whole swarm (no evaluation).
 
-    Velocities are clamped to +-(upper-lower) per dimension; positions are
+    Velocities are clamped to +-(hi-lo) per dimension; positions are
     clamped into the box and the velocity of a clamped component is zeroed.
     """
-    lo = np.asarray(space.lower)
-    hi = np.asarray(space.upper)
     span = hi - lo
     shape = positions.shape
     r1 = rng.random(shape)
@@ -234,11 +233,9 @@ def pso_step(positions, velocities, personal_best, global_best, space: ParamSpac
     return pos, vel
 
 
-def de_step(population, costs, evaluate, space: ParamSpace, rng,
+def de_step(population, costs, evaluate, lo, hi, rng,
             crossover_rate: float = CROSSOVER_RATE, diff_weight: float = DIFF_WEIGHT):
     """One rand/1/bin generation with greedy (<=) selection, in place."""
-    lo = np.asarray(space.lower)
-    hi = np.asarray(space.upper)
     size, dims = population.shape
     for i in range(size):
         others = [j for j in range(size) if j != i]
@@ -254,13 +251,11 @@ def de_step(population, costs, evaluate, space: ParamSpace, rng,
     return population, costs
 
 
-def ga_step(population, costs, evaluate, space: ParamSpace, rng,
+def ga_step(population, costs, evaluate, lo, hi, rng,
             crossover_prob: float = CROSSOVER_PROB, mutation_prob: float = MUTATION_PROB):
     """One generational replacement: tournaments, blend crossover, reset
     mutation, elitism of one.  The elite is re-evaluated with the rest so
     every generation costs exactly ``population`` evaluations."""
-    lo = np.asarray(space.lower)
-    hi = np.asarray(space.upper)
     size, dims = population.shape
 
     def tournament():
@@ -288,14 +283,17 @@ def ga_step(population, costs, evaluate, space: ParamSpace, rng,
     return new_pop, new_costs
 
 
-def sa_step(current, current_cost, temperature, step_index, evaluate,
-            space: ParamSpace, rng, neighborhood_sigma: float = NEIGHBORHOOD_SIGMA,
+def _neighbor(current, lo, hi, rng, sigma: float):
+    """A Gaussian step of ``sigma`` times the box width, clamped into the box."""
+    return np.clip(current + rng.normal(0.0, sigma * (hi - lo)), lo, hi)
+
+
+def sa_step(current, current_cost, temperature, step_index, evaluate, lo, hi, rng,
+            neighborhood_sigma: float = NEIGHBORHOOD_SIGMA,
             temp_decay: float = TEMP_DECAY, epoch_length: int = EPOCH_LENGTH):
     """One annealing move: Gaussian neighbor, Metropolis acceptance, and
     geometric cooling every ``epoch_length`` steps."""
-    lo = np.asarray(space.lower)
-    hi = np.asarray(space.upper)
-    neighbor = np.clip(current + rng.normal(0.0, neighborhood_sigma * (hi - lo)), lo, hi)
+    neighbor = _neighbor(current, lo, hi, rng, neighborhood_sigma)
     cost = evaluate(neighbor)
     delta = cost - current_cost
     if delta <= 0 or rng.random() < math.exp(-delta / temperature):
@@ -307,27 +305,27 @@ def sa_step(current, current_cost, temperature, step_index, evaluate,
 
 # -- drivers ----------------------------------------------------------------
 
-def _init_population(space: ParamSpace, rng, size: int):
-    lo = np.asarray(space.lower)
-    hi = np.asarray(space.upper)
-    return rng.uniform(lo, hi, size=(size, len(space)))
+def _sample(rng, *shape):
+    """Uniform points of the tuning box; every driver draws its start here."""
+    return rng.uniform(LOWER, UPPER, size=(*shape, LOWER.size))
 
 
-def _drive_rand(rec, space, cfg, rng):
+def _drive_rand(rec, cfg, rng):
     for _ in range(cfg.budget):
-        rec(space.sample(rng))
+        rec(_sample(rng))
 
 
-def _drive_pso(rec, space, cfg, rng):
+def _drive_pso(rec, cfg, rng):
     pop = cfg.population
-    positions = _init_population(space, rng, pop)
+    positions = _sample(rng, pop)
     velocities = np.zeros_like(positions)
     costs = np.array([rec(x) for x in positions])
     pbest = positions.copy()
     pbest_costs = costs.copy()
     g = int(np.argmin(pbest_costs))
     while True:
-        positions, velocities = pso_step(positions, velocities, pbest, pbest[g], space, rng)
+        positions, velocities = pso_step(positions, velocities, pbest, pbest[g],
+                                         LOWER, UPPER, rng)
         for i in range(pop):
             cost = rec(positions[i])
             if cost <= pbest_costs[i]:
@@ -337,31 +335,23 @@ def _drive_pso(rec, space, cfg, rng):
                 g = i
 
 
-def _drive_de(rec, space, cfg, rng):
-    population = _init_population(space, rng, cfg.population)
+def _drive_generations(step, rec, cfg, rng):
+    """DE and GA: evaluate a uniform population, then apply ``step`` per generation."""
+    population = _sample(rng, cfg.population)
     costs = np.array([rec(x) for x in population])
     while True:
-        population, costs = de_step(population, costs, rec, space, rng)
+        population, costs = step(population, costs, rec, LOWER, UPPER, rng)
 
 
-def _drive_ga(rec, space, cfg, rng):
-    population = _init_population(space, rng, cfg.population)
-    costs = np.array([rec(x) for x in population])
-    while True:
-        population, costs = ga_step(population, costs, rec, space, rng)
-
-
-def _drive_sa(rec, space, cfg, rng):
-    lo = np.asarray(space.lower)
-    hi = np.asarray(space.upper)
-    current = np.asarray(space.sample(rng))
+def _drive_sa(rec, cfg, rng):
+    current = _sample(rng)
     current_cost = rec(current)
     # temperature calibration: probe the neighborhood of the start point and
     # pick T0 so a typical uphill move is accepted with probability ~0.8
     uphill = []
     best = (current_cost, current)
     for _ in range(CALIBRATION_PROBES):
-        probe = np.clip(current + rng.normal(0.0, NEIGHBORHOOD_SIGMA * (hi - lo)), lo, hi)
+        probe = _neighbor(current, LOWER, UPPER, rng, NEIGHBORHOOD_SIGMA)
         cost = rec(probe)
         if cost > current_cost:
             uphill.append(cost - current_cost)
@@ -373,21 +363,21 @@ def _drive_sa(rec, space, cfg, rng):
     step = 0
     while True:
         current, current_cost, temperature = sa_step(
-            current, current_cost, temperature, step, rec, space, rng)
+            current, current_cost, temperature, step, rec, LOWER, UPPER, rng)
         step += 1
 
 
 _DRIVERS = {
     "RAND": _drive_rand,
     "PSO": _drive_pso,
-    "DE": _drive_de,
-    "GA": _drive_ga,
+    "DE": partial(_drive_generations, de_step),
+    "GA": partial(_drive_generations, ga_step),
     "SA": _drive_sa,
 }
 
 
 def search(opt_config: OptimizerConfig, objective) -> RunRecord:
-    """Run one algorithm against an objective callable over the default box.
+    """Run one algorithm against an objective callable over the tuning box.
 
     The objective is called exactly ``budget`` times and returns either an
     :class:`Evaluation` (as :class:`OlsrObjective` does), which becomes the
@@ -396,11 +386,10 @@ def search(opt_config: OptimizerConfig, objective) -> RunRecord:
     :class:`ValueError` at the evaluation that returned it.
     """
     opt_config.validate()
-    space = default_param_space()
     rng = np.random.default_rng(opt_config.seed)
     rec = _Recorder(objective, opt_config.budget)
     try:
-        _DRIVERS[opt_config.algorithm](rec, space, opt_config, rng)
+        _DRIVERS[opt_config.algorithm](rec, opt_config, rng)
     except _BudgetExhausted:
         pass
     total = time.perf_counter() - rec.started

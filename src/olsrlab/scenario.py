@@ -312,12 +312,15 @@ def _pick_sessions(rng: random.Random, nodes: int, count: int, start: float,
             for i, (a, b) in enumerate(chosen)]
 
 
-def _urban_spec(name: str, area: tuple[float, float], nodes: int,
-                session_count: int, seed: int) -> ScenarioSpec:
-    duration = 180.0
+def _urban_spec(name: str, area: tuple[float, float], nodes: int, session_count: int,
+                seed: int, duration: float = 180.0,
+                flow_duration: float = 30.0) -> ScenarioSpec:
+    """Random-waypoint vehicles from ``seed`` and flows from ``seed + 1``
+    that start at 30 s."""
     trace = generate_random_waypoint(area, nodes, duration, URBAN_SPEED_RANGE, seed)
     rng = random.Random(seed + 1)
-    sessions = _pick_sessions(rng, nodes, session_count, start=30.0, duration=30.0)
+    sessions = _pick_sessions(rng, nodes, session_count, start=30.0,
+                              duration=flow_duration)
     return ScenarioSpec(name, area, duration, nodes, trace, sessions).validate()
 
 
@@ -346,29 +349,10 @@ def catalog() -> dict[str, ScenarioSpec]:
         ],
     ).validate()
 
-    congested_trace = generate_random_waypoint((400.0, 400.0), 10, 60.0,
-                                               URBAN_SPEED_RANGE, seed=2024)
-    congested_rng = random.Random(2025)
-    specs["congested-small"] = ScenarioSpec(
-        name="congested-small",
-        area=(400.0, 400.0),
-        duration=60.0,
-        nodes=10,
-        trace=congested_trace,
-        sessions=_pick_sessions(congested_rng, 10, 4, start=30.0, duration=25.0),
-    ).validate()
-
-    base_trace = generate_random_waypoint((1200.0, 1200.0), 30, 180.0,
-                                          URBAN_SPEED_RANGE, seed=4101)
-    base_rng = random.Random(4102)
-    specs["base-malaga-like"] = ScenarioSpec(
-        name="base-malaga-like",
-        area=(1200.0, 1200.0),
-        duration=180.0,
-        nodes=30,
-        trace=base_trace,
-        sessions=_pick_sessions(base_rng, 30, 10, start=30.0, duration=140.0),
-    ).validate()
+    specs["congested-small"] = _urban_spec("congested-small", (400.0, 400.0), 10, 4,
+                                           seed=2024, duration=60.0, flow_duration=25.0)
+    specs["base-malaga-like"] = _urban_spec("base-malaga-like", (1200.0, 1200.0), 30, 10,
+                                            seed=4101, flow_duration=140.0)
 
     # urban grid: U1/U2/U3 scale the area in 120,000 m2 blocks; density
     # tiers put 10/20/30 vehicles per block; one flow per two vehicles

@@ -215,6 +215,53 @@ def test_optimize_resumes_only_the_missing_run(tmp_path, capsys):
     assert redone.to_text(include_timing=False) == original.to_text(include_timing=False)
 
 
+@pytest.mark.parametrize("flags,keys", [
+    (["--objective", "rastrigin", "--budget", "50"], ["objective", "budget"]),
+    (["--objective", "sphere", "--budget", "5", "--population", "4"], ["population"]),
+    (["--objective", "sphere", "--budget", "5", "--eval-seed", "3"], ["eval_seed"]),
+])
+def test_optimize_refuses_to_resume_a_campaign_with_other_settings(tmp_path, capsys,
+                                                                   flags, keys):
+    outdir = tmp_path / "camp"
+    assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND",
+                 "--runs", "2", "--budget", "5", "--outdir", str(outdir)]) == 0
+    manifest = read(outdir / "campaign.json")
+    capsys.readouterr()
+
+    rc = main(["optimize", "--algorithms", "RAND", "--runs", "3", *flags,
+               "--outdir", str(outdir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    for key in keys:
+        assert key in err
+    assert sorted(os.listdir(outdir / "records")) == ["RAND-seed000001.run",
+                                                      "RAND-seed000002.run"]
+    assert read(outdir / "campaign.json") == manifest
+
+
+def test_optimize_settings_a_search_rejects_leave_no_campaign_behind(tmp_path, capsys):
+    outdir = tmp_path / "camp"
+    assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND,GA",
+                 "--runs", "1", "--budget", "5", "--outdir", str(outdir)]) == 2
+    assert "full generation" in capsys.readouterr().err
+    assert not outdir.exists()
+    assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND,GA",
+                 "--runs", "1", "--budget", "10", "--outdir", str(outdir)]) == 0
+
+
+def test_optimize_resume_may_add_algorithms_and_runs(tmp_path, capsys):
+    outdir = tmp_path / "camp"
+    assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND",
+                 "--runs", "1", "--budget", "4", "--outdir", str(outdir)]) == 0
+    assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND,SA",
+                 "--runs", "2", "--budget", "4", "--outdir", str(outdir)]) == 0
+    assert "campaign: 3 new runs, 4 total" in capsys.readouterr().out
+    manifest = json.loads(read(outdir / "campaign.json"))
+    assert manifest["algorithms"] == ["RAND", "SA"]
+    assert len(manifest["records"]) == 4
+
+
 def test_optimize_single_run_skips_the_rank_tests(tmp_path):
     outdir = tmp_path / "solo"
     assert main(["optimize", "--objective", "rastrigin", "--algorithms", "RAND",

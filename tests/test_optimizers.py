@@ -1,5 +1,6 @@
 """Metaheuristics: budget accounting, step mechanics, run records."""
 
+import hashlib
 import json
 import math
 
@@ -23,7 +24,7 @@ from olsrlab.optimizers import (
     search,
     sphere,
 )
-from olsrlab.params import Dimension, ParamSpace, decode_params, default_param_space
+from olsrlab.params import LOWER, UPPER, decode_params
 from olsrlab.scenario import catalog
 
 
@@ -37,9 +38,8 @@ class CountingSphere:
 
 
 def symmetric_space(dims=4, half_width=5.0):
-    return ParamSpace(tuple(
-        Dimension(f"d{i}", -half_width, half_width) for i in range(dims)
-    ))
+    """The box [-half_width, half_width]^dims as a (lo, hi) pair."""
+    return np.full(dims, -half_width), np.full(dims, half_width)
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +92,10 @@ def test_a_non_finite_cost_fails_the_run_at_the_evaluation_that_returned_it(bad)
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_every_candidate_stays_inside_the_box(algorithm):
-    space = default_param_space()
     record = search(OptimizerConfig(algorithm, budget=60, population=10, seed=2),
                     sphere)
     for _, _, candidate in record.trajectory:
-        for v, lo, hi in zip(candidate, space.lower, space.upper):
+        for v, lo, hi in zip(candidate, LOWER, UPPER, strict=True):
             assert lo <= v <= hi
 
 
@@ -105,45 +104,45 @@ def test_every_candidate_stays_inside_the_box(algorithm):
 # ---------------------------------------------------------------------------
 
 def test_pso_step_with_zero_coefficients_is_a_fixed_point():
-    space = symmetric_space()
+    lo, hi = symmetric_space()
     rng = np.random.default_rng(0)
     pos = np.array([[1.0, -2.0, 3.0, 0.5], [0.0, 0.0, 4.0, -4.0]])
     vel = np.zeros_like(pos)
-    new_pos, new_vel = pso_step(pos, vel, pos.copy(), pos[0], space, rng,
+    new_pos, new_vel = pso_step(pos, vel, pos.copy(), pos[0], lo, hi, rng,
                                 inertia=0.5, cognitive_coef=0.0, social_coef=0.0)
     assert np.array_equal(new_pos, pos)
     assert np.array_equal(new_vel, vel)
 
 
 def test_pso_step_zeroes_velocity_on_the_wall():
-    space = symmetric_space()
+    lo, hi = symmetric_space()
     rng = np.random.default_rng(0)
     pos = np.array([[5.0, 0.0, 0.0, 0.0]])
     vel = np.array([[3.0, 0.0, 0.0, 0.0]])  # would overshoot the upper bound
-    new_pos, new_vel = pso_step(pos, vel, pos.copy(), pos[0], space, rng,
+    new_pos, new_vel = pso_step(pos, vel, pos.copy(), pos[0], lo, hi, rng,
                                 inertia=1.0, cognitive_coef=0.0, social_coef=0.0)
     assert new_pos[0, 0] == 5.0
     assert new_vel[0, 0] == 0.0
 
 
 def test_de_step_selection_is_greedy_per_slot():
-    space = symmetric_space(dims=6)
+    lo, hi = symmetric_space(dims=6)
     rng = np.random.default_rng(4)
     population = rng.uniform(-5, 5, size=(8, 6))
     costs = np.array([sphere(x) for x in population])
     before = costs.copy()
-    population, costs = de_step(population, costs, sphere, space, rng)
+    population, costs = de_step(population, costs, sphere, lo, hi, rng)
     assert np.all(costs <= before)
     assert np.array_equal(costs, np.array([sphere(x) for x in population]))
 
 
 def test_ga_step_carries_the_elite_unchanged():
-    space = symmetric_space(dims=5)
+    lo, hi = symmetric_space(dims=5)
     rng = np.random.default_rng(9)
     population = rng.uniform(-5, 5, size=(6, 5))
     costs = np.array([sphere(x) for x in population])
     elite = population[int(np.argmin(costs))].copy()
-    new_pop, new_costs = ga_step(population, costs, sphere, space, rng)
+    new_pop, new_costs = ga_step(population, costs, sphere, lo, hi, rng)
     assert np.array_equal(new_pop[0], elite)
     assert new_costs[0] == min(costs)
     assert new_pop.shape == population.shape
@@ -157,11 +156,11 @@ def test_ga_generation_minima_never_regress_on_a_deterministic_objective():
 
 
 def test_sa_step_frozen_cold_rejects_every_uphill_move():
-    space = symmetric_space()
+    lo, hi = symmetric_space()
     rng = np.random.default_rng(12)
     current = np.zeros(4)
     for step in range(25):
-        current, cost, temp = sa_step(current, 0.0, 1e-12, step, sphere, space, rng)
+        current, cost, temp = sa_step(current, 0.0, 1e-12, step, sphere, lo, hi, rng)
         assert np.array_equal(current, np.zeros(4))  # origin is the optimum
         assert cost == 0.0
         # geometric cooling fires exactly at epoch boundaries
@@ -169,9 +168,9 @@ def test_sa_step_frozen_cold_rejects_every_uphill_move():
 
 
 def test_sa_step_hot_accepts_uphill_moves():
-    space = symmetric_space()
+    lo, hi = symmetric_space()
     rng = np.random.default_rng(12)
-    current, cost, _ = sa_step(np.zeros(4), 0.0, 1e12, 0, sphere, space, rng)
+    current, cost, _ = sa_step(np.zeros(4), 0.0, 1e12, 0, sphere, lo, hi, rng)
     assert cost > 0.0
     assert not np.array_equal(current, np.zeros(4))
 
@@ -197,6 +196,30 @@ def test_same_seed_reproduces_the_whole_run(algorithm):
                sphere).to_text(include_timing=False)
     assert a == b
     assert a != c
+
+
+# sha256 of to_text(include_timing=False) at budget 60, population 10, seed 1;
+# any change to how a search draws or steps moves these
+PINNED_RECORDS = {
+    ("sphere", "PSO"): "5752295caea88e109d9a20f90c0110c0a02cbdc73911380016d573fa045132d4",
+    ("sphere", "DE"): "6e05576b718a48adc5261f565c0c948018ee39b1b0519f48eb9346ded183115e",
+    ("sphere", "GA"): "76ae6a4f6f927769f41b5ed5072842e5712b60d8401bfe3e6ab7ff7a60651612",
+    ("sphere", "SA"): "4f1391bad159d94b80689b10705c8f822fe934db7cc0b998079b61c14dfeea13",
+    ("sphere", "RAND"): "039dd4d1d9680c0201f6210916cccafe183aac7f1545f80d1684fc7f834ba5ad",
+    ("rastrigin", "PSO"): "950bd6c2abbc3881cd7c0c5cf3519dfd02ac84b8e16877d7ff49e5cb22b7e3ee",
+    ("rastrigin", "DE"): "fd459a92d98b55ee5987eb6f5b529ec2965d6925c54654174c922b7eb75ef248",
+    ("rastrigin", "GA"): "d01a487e01e5b68403093cd674161b76f2830c4b549d83df797dcd04fa4eeb3b",
+    ("rastrigin", "SA"): "23c4c351a8ef5f01c3f9fe28ff5cea8978ff12c2925c7bc3f6dc4045032fb026",
+    ("rastrigin", "RAND"): "afc9f98c3805608acba4e7727664cd703f35521dbc8168aa4994b132d7e7bffe",
+}
+
+
+@pytest.mark.parametrize("objective,algorithm", sorted(PINNED_RECORDS))
+def test_search_records_match_their_pinned_digests(objective, algorithm):
+    record = search(OptimizerConfig(algorithm, budget=60, population=10, seed=1),
+                    optimizers.BENCHMARKS[objective])
+    digest = hashlib.sha256(record.to_text(include_timing=False).encode()).hexdigest()
+    assert digest == PINNED_RECORDS[objective, algorithm]
 
 
 def test_benchmark_record_decodes_the_best_candidate():

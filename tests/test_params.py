@@ -1,34 +1,34 @@
-"""Search-space decoding: any finite raw vector must become a valid config."""
+"""Tuning-box decoding: any finite raw vector must become a valid config."""
 
 import math
-import random
+from dataclasses import fields
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olsrlab.olsr import OlsrConfig
-from olsrlab.params import decode_params, default_param_space
+from olsrlab.params import LOWER, NAMES, UPPER, decode_params
 
 
-def test_default_space_shape_and_bounds():
-    space = default_param_space()
-    assert len(space) == 8
-    assert space.names == (
+def test_tuning_box_names_and_bounds():
+    assert NAMES == (
         "hello_interval", "refresh_interval", "tc_interval", "willingness",
         "neighb_hold_time", "top_hold_time", "mid_hold_time", "dup_hold_time",
     )
-    assert space.lower == (1.0, 1.0, 1.0, 0.0, 3.0, 3.0, 3.0, 3.0)
-    assert space.upper == (30.0, 30.0, 30.0, 7.0, 100.0, 100.0, 100.0, 100.0)
-    assert [d.integer for d in space.dimensions].count(True) == 1
-    assert space.dimensions[3].integer
+    assert NAMES == tuple(f.name for f in fields(OlsrConfig))
+    assert LOWER.tolist() == [1.0, 1.0, 1.0, 0.0, 3.0, 3.0, 3.0, 3.0]
+    assert UPPER.tolist() == [30.0, 30.0, 30.0, 7.0, 100.0, 100.0, 100.0, 100.0]
+    for bound in (LOWER, UPPER):
+        with pytest.raises(ValueError, match="read-only"):
+            bound[0] = 0.5
 
 
 def test_clamp_pins_to_bounds():
-    space = default_param_space()
-    clamped = space.clamp((-5.0, 2.0, 99.0, 7.5, 3.0, 100.0, 50.0, 0.0))
-    assert clamped == (1.0, 2.0, 30.0, 7.0, 3.0, 100.0, 50.0, 3.0)
+    cfg = decode_params((-5.0, 2.0, 99.0, 7.5, 3.0, 100.0, 50.0, 0.0))
+    assert cfg.as_vector() == (1.0, 2.0, 30.0, 7.0, 3.0, 100.0, 50.0, 3.0)
+    # every field is a plain Python number, so a record's repr is unchanged
+    assert [type(v) for v in vars(cfg).values()] == [float] * 3 + [int] + [float] * 4
 
 
 def test_standard_vector_decodes_to_standard_config():
@@ -70,19 +70,9 @@ def test_decode_rejects_bad_input():
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8))
 def test_every_finite_vector_decodes_valid(raw):
     # decode must never hand the simulator an out-of-range config
-    space = default_param_space()
     cfg = decode_params(raw)
     assert cfg.validate() is cfg
     assert isinstance(cfg.willingness, int)
-    for i, v in enumerate(cfg.as_vector()):
-        assert space.lower[i] <= v <= space.upper[i]
+    for v, lo, hi in zip(cfg.as_vector(), LOWER, UPPER, strict=True):
+        assert lo <= v <= hi
 
-
-def test_sample_respects_bounds_for_both_rng_kinds():
-    space = default_param_space()
-    for rng in (random.Random(3), np.random.default_rng(3)):
-        for _ in range(100):
-            point = space.sample(rng)
-            assert len(point) == 8
-            for v, lo, hi in zip(point, space.lower, space.upper):
-                assert lo <= v <= hi

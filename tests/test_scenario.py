@@ -47,11 +47,14 @@ def test_position_interpolates_and_clamps():
     assert position_at(points, 0.0) == (0.0, 0.0)       # before the trace
     assert position_at(points, 99.0) == (100.0, 50.0)   # after it
     assert position_at(points, 12.5) == (25.0, 12.5)
+    trace = MobilityTrace({0: points})
+    for time in (0.0, 10.0, 12.5, 15.0, 20.0, 99.0):
+        assert trace.position(0, time) == position_at(points, time)
 
 
 def test_position_at_matches_a_linear_scan_including_exact_waypoint_times():
     trace = generate_random_waypoint((400.0, 300.0), 3, 60.0, URBAN_SPEED_RANGE, seed=5)
-    for points in trace.waypoints.values():
+    for node, points in trace.waypoints.items():
         times = [t for t, _, _ in points]
         probes = times + [(a + b) / 2.0 for a, b in zip(times, times[1:])]
         for time in probes:
@@ -64,8 +67,13 @@ def test_position_at_matches_a_linear_scan_including_exact_waypoint_times():
                 frac = (time - t0) / (t1 - t0)
                 want = (x0 + frac * (x1 - x0), y0 + frac * (y1 - y0))
             assert position_at(points, time) == want
+            assert trace.position(node, time) == want
         for t, x, y in points:
             assert position_at(points, t) == (x, y)
+            assert trace.position(node, t) == (x, y)
+        # clamped before the first waypoint and after the last
+        for time in (times[0] - 1.0, times[-1] + 1.0):
+            assert trace.position(node, time) == position_at(points, time)
 
 
 @st.composite
