@@ -9,8 +9,10 @@ Campaigns persist one record file per (algorithm, seed) and resume by
 skipping records that already exist, so an interrupted run can simply be
 restarted with the same flags.  ``campaign.json`` is written before the
 first run; a restart that adds algorithms or runs is accepted, but one
-whose objective, scenario, budget, population or eval seed differ from it
-is refused before any record is written.
+whose objective, scenario, budget, population, base seed or eval seed
+differ from it is refused before any record is written.  The manifest
+describes the whole campaign: every algorithm any invocation named, in
+first-named order, and the most runs any asked for.
 """
 
 from __future__ import annotations
@@ -177,13 +179,14 @@ def _write_summary(outdir: str, by_alg: dict[str, list[RunRecord]]) -> dict:
 
 
 # the settings every record of one campaign shares
-CAMPAIGN_KEYS = ("objective", "scenario", "budget", "population", "eval_seed")
+CAMPAIGN_KEYS = ("objective", "scenario", "budget", "population", "base_seed", "eval_seed")
 
 
-def _check_same_campaign(path: str, manifest: dict) -> None:
-    """Refuse to resume a campaign whose shared settings differ."""
+def _check_same_campaign(path: str, manifest: dict) -> dict | None:
+    """Refuse to resume a campaign whose shared settings differ; return the
+    existing manifest, or None for a new campaign."""
     if not os.path.exists(path):
-        return
+        return None
     with open(path) as fh:
         existing = json.load(fh)
     if not isinstance(existing, dict):
@@ -193,6 +196,7 @@ def _check_same_campaign(path: str, manifest: dict) -> None:
     if differing:
         raise ValueError(f"{path} belongs to another campaign ({'; '.join(differing)}); "
                          "use another --outdir")
+    return existing
 
 
 def cmd_optimize(args) -> int:
@@ -226,7 +230,11 @@ def cmd_optimize(args) -> int:
         # a benchmark objective computes no communication cost
         "weights": dict(COST_WEIGHTS) if spec else None,
     }
-    _check_same_campaign(manifest_path, manifest)
+    existing = _check_same_campaign(manifest_path, manifest)
+    if existing is not None:
+        earlier = existing.get("algorithms", [])
+        manifest["algorithms"] = earlier + [a for a in algorithms if a not in earlier]
+        manifest["runs"] = max(existing.get("runs", 0), args.runs)
     os.makedirs(records_dir, exist_ok=True)
 
     def write_manifest():

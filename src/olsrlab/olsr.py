@@ -38,6 +38,8 @@ CONTROL_TTL = 255  # hop budget for flooded TC messages
 MSG_HEADER_BYTES = 16
 MSG_ENTRY_BYTES = 8
 
+_NOTHING = frozenset()
+
 
 @dataclass(frozen=True)
 class OlsrConfig:
@@ -150,56 +152,78 @@ class MprSelection(NamedTuple):
     uncoverable: frozenset
 
 
-def select_mprs(symmetric_neighbors, two_hop) -> MprSelection:
+def select_mprs(symmetric_neighbors, cover) -> MprSelection:
     """Pick a relay set covering every strict two-hop neighbor.
 
     symmetric_neighbors: iterable of (node id, willingness) pairs.
-    two_hop: iterable of (via neighbor, target) pairs; every via must be a
-    symmetric neighbor.
+    cover: mapping of two-hop target -> bit mask of the neighbors that reach
+    it (bit n for node n, as :meth:`NodeState.strict_two_hop` returns); every
+    such neighbor must be symmetric.  Targets that are themselves symmetric
+    neighbors need no relay and are skipped.
 
     Neighbors with willingness 7 are always relays; willingness 0 is never
     selected.  Targets that only willingness-0 neighbors reach come back in
     ``uncoverable`` instead of being dropped silently.  The heuristic first
     takes sole covers, then repeatedly the neighbor covering the most still
-    uncovered targets, ties broken by higher willingness then lower id.
+    uncovered targets, ties broken by higher willingness then lower id.  Only
+    neighbors that cover an uncovered target are scored, since the winner
+    always covers at least one.
     """
     will = dict(symmetric_neighbors)
-    pairs = set(two_hop)
-    for via, _ in pairs:
-        if via not in will:
-            raise ValueError(f"two-hop via {via!r} is not a symmetric neighbor")
+    symmetric = willing = always = 0
+    for n, w in will.items():
+        bit = 1 << n
+        symmetric |= bit
+        if w > WILL_NEVER:
+            willing |= bit
+            if w == WILL_ALWAYS:
+                always |= bit
 
-    # strict targets: not ourselves (callers never insert self) and not
-    # already reachable in one symmetric hop
-    cover: dict = {}
-    for via, target in pairs:
+    usable: dict = {}  # strict target -> willing vias
+    uncoverable = []
+    for target, vias in cover.items():
+        if vias & ~symmetric:
+            stray = next(_ids(vias & ~symmetric))
+            raise ValueError(f"two-hop via {stray!r} is not a symmetric neighbor")
         if target in will:
             continue
-        cover.setdefault(target, set())
-        if will[via] > WILL_NEVER:
-            cover[target].add(via)
+        if vias & willing:
+            usable[target] = vias & willing
+        else:
+            uncoverable.append(target)
 
-    mprs = {n for n, w in will.items() if w == WILL_ALWAYS}
-    uncoverable = frozenset(t for t, vias in cover.items() if not vias)
-
-    uncovered = {t for t, vias in cover.items() if vias and not (vias & mprs)}
+    mprs = always
+    uncovered = [t for t, vias in usable.items() if not vias & mprs]
     # sole covers are forced picks
-    for target in sorted(uncovered):
-        vias = cover[target]
-        if len(vias) == 1:
+    for target in uncovered:
+        vias = usable[target]
+        if not vias & (vias - 1):
             mprs |= vias
-    uncovered = {t for t in uncovered if not (cover[t] & mprs)}
+    uncovered = [t for t in uncovered if not usable[t] & mprs]
     while uncovered:
-        best = min(
-            (n for n in will if will[n] > WILL_NEVER),
-            key=lambda n: (-len({t for t in uncovered if n in cover[t]}), -will[n], n),
-        )
-        gained = {t for t in uncovered if best in cover[t]}
-        if not gained:  # defensive; cannot happen while uncovered is coverable
-            break
-        mprs.add(best)
-        uncovered -= gained
-    return MprSelection(frozenset(mprs), uncoverable)
+        # counts[k]: the neighbors covering more than k uncovered targets,
+        # so the last entry holds those covering the most
+        counts = [0]
+        for target in uncovered:
+            vias = usable[target]
+            if counts[-1] & vias:
+                counts.append(0)
+            for k in range(len(counts) - 1, 0, -1):
+                counts[k] |= counts[k - 1] & vias
+            counts[0] |= vias
+        # ascending ids, so max keeps the lowest id among the most willing
+        best = max(_ids(counts[-1]), key=will.__getitem__)
+        mprs |= 1 << best
+        uncovered = [t for t in uncovered if not usable[t] >> best & 1]
+    return MprSelection(frozenset(_ids(mprs)), frozenset(uncoverable))
+
+
+def _ids(mask: int):
+    """Yield the node ids whose bits are set in ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class _Link(NamedTuple):
@@ -223,6 +247,16 @@ class NodeState:
       replaces one bucket, and the sweep visits buckets, not entries.
     * ``duplicates`` is inserted in expiry order, so the sweep drops its
       expired entries from the front.
+    * ``_two_hop_vias`` is the transpose of ``two_hop``: it maps every
+      target some bucket lists to the bit mask of the neighbors whose
+      buckets list it (bit n for node n, so node ids are non-negative, as
+      a scenario's 0..n-1 are), and it holds no zero mask.  It changes
+      only where a bucket's membership does, by the difference.  A HELLO
+      whose sender's bucket is unchanged costs a subset test over that
+      bucket and builds no set; one that changes it also builds the new
+      bucket and the difference, and flips one bit per target in it.
+      :meth:`strict_two_hop` reads the index, at O(links + two-hop
+      targets), not O(sum of bucket sizes).
     * The MPR set is a pure function of the symmetric links and the
       two-hop set.  A change to either marks it stale, and it is selected
       again when next read (``mprs``, ``uncoverable``).
@@ -245,6 +279,9 @@ class NodeState:
         self.links: dict[int, _Link] = {}
         # advertising neighbor -> (targets, expiry); no bucket is empty
         self.two_hop: dict[int, tuple[frozenset, float]] = {}
+        # the transpose of two_hop: target -> bit mask of the neighbors
+        # whose bucket lists it (bit n for node n); no mask is zero
+        self._two_hop_vias: dict[int, int] = {}
         # the MPR selection; None until made, and again once links or
         # two-hop entries change
         self._selection: MprSelection | None = None
@@ -274,14 +311,21 @@ class NodeState:
         """Symmetric neighbor id -> advertised willingness."""
         return {n: l.willingness for n, l in self.links.items() if l.status == LINK_SYM}
 
-    def strict_two_hop(self) -> set[tuple[int, int]]:
-        sym = self.symmetric_neighbors()
-        return {
-            (via, target)
-            for via in sym if via in self.two_hop
-            for target in self.two_hop[via][0]
-            if target not in sym
-        }
+    def strict_two_hop(self) -> dict[int, int]:
+        """Strict two-hop target -> bit mask of the symmetric neighbors that reach it.
+
+        A strict target is no symmetric neighbor and not ourselves.  Reads
+        the transposed index, so it costs O(links + two-hop targets).
+        """
+        symmetric = 0
+        for n, link in self.links.items():
+            if link.status == LINK_SYM:
+                symmetric |= 1 << n
+        cover = {}
+        for target, vias in self._two_hop_vias.items():
+            if vias & symmetric and not symmetric >> target & 1:
+                cover[target] = vias & symmetric
+        return cover
 
     @property
     def mprs(self) -> frozenset:
@@ -344,12 +388,23 @@ class NodeState:
         link_expiry = now + self.config.neighb_hold_time
         self.links[sender] = _Link(status, link_expiry, will)
 
-        # two-hop entries come from the sender's symmetric links only
-        targets = msg.symmetric_listed - {self.self_id}
-        old_targets, _ = self.two_hop.pop(sender, (frozenset(), None))
-        if targets:
-            self.two_hop[sender] = (targets, expiry)
-        two_hop_changed = targets != old_targets
+        # two-hop entries come from the sender's symmetric links only.  The
+        # bucket is the listed set less us, so it is unchanged when it is a
+        # subset of that size, a test that builds no set
+        listed = msg.symmetric_listed
+        bucket = self.two_hop.get(sender)
+        old_targets = bucket[0] if bucket is not None else _NOTHING
+        two_hop_changed = not (len(old_targets) == len(listed) - (self.self_id in listed)
+                               and old_targets <= listed)
+        if two_hop_changed:
+            targets = listed - {self.self_id}
+            self._reindex(sender, old_targets, targets)
+            if targets:
+                self.two_hop[sender] = (targets, expiry)
+            else:
+                del self.two_hop[sender]
+        elif bucket is not None:
+            self.two_hop[sender] = (old_targets, expiry)
 
         if self.self_id in msg.mpr_listed:
             self.mpr_selectors[sender] = expiry
@@ -443,11 +498,13 @@ class NodeState:
         dead_links = [n for n, l in self.links.items() if l.expiry < now]
         for nbr in dead_links:
             del self.links[nbr]
-            self.two_hop.pop(nbr, None)
+            bucket = self.two_hop.pop(nbr, None)
+            if bucket is not None:
+                self._reindex(nbr, bucket[0], _NOTHING)
             self.mpr_selectors.pop(nbr, None)
         dead_two_hop = [via for via, (_, exp) in self.two_hop.items() if exp < now]
         for via in dead_two_hop:
-            del self.two_hop[via]
+            self._reindex(via, self.two_hop.pop(via)[0], _NOTHING)
         dead_topology = [last for last, (_, _, exp) in self.topology.items() if exp < now]
         for last in dead_topology:
             del self.topology[last]
@@ -473,6 +530,18 @@ class NodeState:
                     or dead_duplicates)
 
     # -- derived tables ---------------------------------------------------
+
+    def _reindex(self, via: int, old: frozenset, new: frozenset) -> None:
+        """Move ``via``'s bit in the transposed index from ``old`` targets to ``new``."""
+        bit = 1 << via
+        index = self._two_hop_vias
+        # a target in exactly one of the two sets gains or loses the bit
+        for target in old ^ new:
+            vias = index.get(target, 0) ^ bit
+            if vias:
+                index[target] = vias
+            else:
+                del index[target]
 
     def _mpr_selection(self) -> MprSelection:
         if self._selection is None:

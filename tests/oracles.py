@@ -19,6 +19,7 @@ from olsrlab.olsr import (
     WILL_ALWAYS,
     WILL_DEFAULT,
     WILL_NEVER,
+    MprSelection,
     NodeState,
     OlsrConfig,
     _Link,
@@ -55,6 +56,69 @@ def brute_minimum_cover(will, two_hop):
             if all(cover[t] & chosen for t in need):
                 return len(forced) + k
     return len(forced)
+
+
+def cover_map(two_hop):
+    """(via, target) pairs -> target -> bit mask of its vias (bit n for node n)."""
+    cover = {}
+    for via, target in two_hop:
+        cover[target] = cover.get(target, 0) | 1 << via
+    return cover
+
+
+# The greedy relay heuristic as the package ran it on (via, target) pairs
+# before selection moved to a transposed two-hop index; kept unchanged as
+# the reference the new selection must equal.
+def reference_select_mprs(symmetric_neighbors, two_hop) -> MprSelection:
+    """Pick a relay set covering every strict two-hop neighbor.
+
+    symmetric_neighbors: iterable of (node id, willingness) pairs.
+    two_hop: iterable of (via neighbor, target) pairs; every via must be a
+    symmetric neighbor.
+
+    Neighbors with willingness 7 are always relays; willingness 0 is never
+    selected.  Targets that only willingness-0 neighbors reach come back in
+    ``uncoverable`` instead of being dropped silently.  The heuristic first
+    takes sole covers, then repeatedly the neighbor covering the most still
+    uncovered targets, ties broken by higher willingness then lower id.
+    """
+    will = dict(symmetric_neighbors)
+    pairs = set(two_hop)
+    for via, _ in pairs:
+        if via not in will:
+            raise ValueError(f"two-hop via {via!r} is not a symmetric neighbor")
+
+    # strict targets: not ourselves (callers never insert self) and not
+    # already reachable in one symmetric hop
+    cover: dict = {}
+    for via, target in pairs:
+        if target in will:
+            continue
+        cover.setdefault(target, set())
+        if will[via] > WILL_NEVER:
+            cover[target].add(via)
+
+    mprs = {n for n, w in will.items() if w == WILL_ALWAYS}
+    uncoverable = frozenset(t for t, vias in cover.items() if not vias)
+
+    uncovered = {t for t, vias in cover.items() if vias and not (vias & mprs)}
+    # sole covers are forced picks
+    for target in sorted(uncovered):
+        vias = cover[target]
+        if len(vias) == 1:
+            mprs |= vias
+    uncovered = {t for t in uncovered if not (cover[t] & mprs)}
+    while uncovered:
+        best = min(
+            (n for n in will if will[n] > WILL_NEVER),
+            key=lambda n: (-len({t for t in uncovered if n in cover[t]}), -will[n], n),
+        )
+        gained = {t for t in uncovered if best in cover[t]}
+        if not gained:  # defensive; cannot happen while uncovered is coverable
+            break
+        mprs.add(best)
+        uncovered -= gained
+    return MprSelection(frozenset(mprs), uncoverable)
 
 
 def random_neighborhood(rng: random.Random):

@@ -17,6 +17,7 @@ from olsrlab.stats import friedman_mean_ranks, kruskal_wallis
 from oracles import (
     bfs_hops,
     brute_minimum_cover,
+    cover_map,
     coverage_sets,
     random_neighborhood,
     random_snapshot,
@@ -51,7 +52,7 @@ def test_criterion_2_mpr_greedy_vs_exhaustive_cover():
     near_minimal = 0
     for _ in range(graphs):
         will, two_hop = random_neighborhood(rng)
-        sel = select_mprs(will.items(), two_hop)
+        sel = select_mprs(will.items(), cover_map(two_hop))
         cover = coverage_sets(will, two_hop)
         if all(vias & sel.mprs for vias in cover.values() if vias):
             covered += 1

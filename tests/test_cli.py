@@ -219,6 +219,7 @@ def test_optimize_resumes_only_the_missing_run(tmp_path, capsys):
     (["--objective", "rastrigin", "--budget", "50"], ["objective", "budget"]),
     (["--objective", "sphere", "--budget", "5", "--population", "4"], ["population"]),
     (["--objective", "sphere", "--budget", "5", "--eval-seed", "3"], ["eval_seed"]),
+    (["--objective", "sphere", "--budget", "5", "--base-seed", "5"], ["base_seed"]),
 ])
 def test_optimize_refuses_to_resume_a_campaign_with_other_settings(tmp_path, capsys,
                                                                    flags, keys):
@@ -260,6 +261,31 @@ def test_optimize_resume_may_add_algorithms_and_runs(tmp_path, capsys):
     manifest = json.loads(read(outdir / "campaign.json"))
     assert manifest["algorithms"] == ["RAND", "SA"]
     assert len(manifest["records"]) == 4
+
+
+def test_optimize_manifest_describes_the_whole_campaign_on_resume(tmp_path, capsys):
+    # a resume naming fewer algorithms or runs keeps the campaign's own in
+    # campaign.json; one with another base seed would mix seed ranges, so
+    # it is refused and names the key
+    outdir = tmp_path / "camp"
+    assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND,SA",
+                 "--runs", "3", "--budget", "4", "--outdir", str(outdir)]) == 0
+    assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND",
+                 "--runs", "2", "--budget", "4", "--outdir", str(outdir)]) == 0
+    manifest = json.loads(read(outdir / "campaign.json"))
+    assert manifest["algorithms"] == ["RAND", "SA"]
+    assert manifest["runs"] == 3
+    assert manifest["base_seed"] == 1
+    assert len(manifest["records"]) == 6
+    capsys.readouterr()
+
+    assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND",
+                 "--runs", "2", "--budget", "4", "--base-seed", "5",
+                 "--outdir", str(outdir)]) == 2
+    assert "base_seed 1 != 5" in capsys.readouterr().err
+    assert json.loads(read(outdir / "campaign.json")) == manifest
+    summary = json.loads(read(outdir / "summary.json"))
+    assert summary["friedman"] is not None and summary["kruskal_wallis"] is not None
 
 
 def test_optimize_single_run_skips_the_rank_tests(tmp_path):

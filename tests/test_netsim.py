@@ -332,6 +332,28 @@ def test_held_out_runs_reproduce_their_pinned_metrics(name, seed, expected):
     assert run_simulation(catalog()[name], OlsrConfig(), seed) == expected
 
 
+@pytest.mark.parametrize("name,willingness,expected", [
+    ("congested-small", 0, QosMetrics(
+        pdr=0.7, nrl=1.2214285714285715, e2ed=0.0010745295860432286, rpl=1.0,
+        data_sent=400, data_delivered=280, data_dropped=120, data_in_flight=0,
+        routing_tx=342)),
+    ("congested-small", 7, QosMetrics(
+        pdr=0.8825, nrl=4.509915014164306, e2ed=0.0012779263792178815,
+        rpl=1.2124645892351276, data_sent=400, data_delivered=353, data_dropped=47,
+        data_in_flight=0, routing_tx=1592)),
+    ("u1-high", 0, QosMetrics(
+        pdr=0.94, nrl=1.8126477541371158, e2ed=0.001076209503425223, rpl=1.0,
+        data_sent=1800, data_delivered=1692, data_dropped=108, data_in_flight=0,
+        routing_tx=3067)),
+])
+def test_willingness_extremes_reproduce_their_pinned_metrics(name, willingness, expected):
+    # every node of a run shares one willingness, so only 0 (no relays,
+    # every strict two-hop target uncoverable) and 7 (every neighbor a
+    # relay) change the selection; the pins above all run willingness 3
+    config = OlsrConfig(willingness=willingness)
+    assert run_simulation(catalog()[name], config, 1) == expected
+
+
 # ---------------------------------------------------------------------------
 # protocol state is purged where it is read
 # ---------------------------------------------------------------------------

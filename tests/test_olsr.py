@@ -30,9 +30,11 @@ from oracles import (
     INF,
     bfs_hops,
     brute_minimum_cover,
+    cover_map,
     coverage_sets,
     random_neighborhood,
     random_snapshot,
+    reference_select_mprs,
 )
 
 
@@ -59,23 +61,23 @@ def test_select_mprs_worked_example():
     # 5 reachable only via 2, 6 only via 3; 4 then already covered by 2
     will = {1: 3, 2: 3, 3: 3}
     two_hop = {(1, 4), (2, 4), (2, 5), (3, 6)}
-    sel = select_mprs(will.items(), two_hop)
+    sel = select_mprs(will.items(), cover_map(two_hop))
     assert sel.mprs == frozenset({2, 3})
     assert sel.uncoverable == frozenset()
 
 
 def test_select_mprs_tie_breaks_on_willingness_then_id():
     # both candidates cover both targets; 2 advertises higher willingness
-    sel = select_mprs({1: 3, 2: 5}.items(), {(1, 10), (2, 10), (1, 11), (2, 11)})
+    sel = select_mprs({1: 3, 2: 5}.items(), cover_map({(1, 10), (2, 10), (1, 11), (2, 11)}))
     assert sel.mprs == frozenset({2})
     # equal willingness: lower id wins
-    sel = select_mprs({1: 3, 2: 3}.items(), {(1, 10), (2, 10)})
+    sel = select_mprs({1: 3, 2: 3}.items(), cover_map({(1, 10), (2, 10)}))
     assert sel.mprs == frozenset({1})
 
 
 def test_select_mprs_willingness_extremes():
     will = {1: WILL_NEVER, 2: WILL_DEFAULT, 3: WILL_ALWAYS}
-    sel = select_mprs(will.items(), {(1, 10), (2, 11)})
+    sel = select_mprs(will.items(), cover_map({(1, 10), (2, 11)}))
     assert 3 in sel.mprs          # always-willing is in even covering nothing
     assert 1 not in sel.mprs      # never-willing is never picked
     assert sel.uncoverable == frozenset({10})
@@ -84,13 +86,13 @@ def test_select_mprs_willingness_extremes():
 
 def test_select_mprs_skips_targets_already_one_hop():
     # 2 is itself a symmetric neighbor, so (1, 2) needs no relay
-    sel = select_mprs({1: 3, 2: 3}.items(), {(1, 2)})
+    sel = select_mprs({1: 3, 2: 3}.items(), cover_map({(1, 2)}))
     assert sel.mprs == frozenset()
 
 
 def test_select_mprs_rejects_unknown_via():
     with pytest.raises(ValueError):
-        select_mprs({1: 3}.items(), {(9, 4)})
+        select_mprs({1: 3}.items(), cover_map({(9, 4)}))
 
 
 def test_select_mprs_covers_random_neighborhoods():
@@ -98,7 +100,7 @@ def test_select_mprs_covers_random_neighborhoods():
     within = 0
     for _ in range(120):
         will, two_hop = random_neighborhood(rng)
-        sel = select_mprs(will.items(), two_hop)
+        sel = select_mprs(will.items(), cover_map(two_hop))
         cover = coverage_sets(will, two_hop)
         for target, vias in cover.items():
             if vias:
@@ -109,6 +111,38 @@ def test_select_mprs_covers_random_neighborhoods():
         if len(sel.mprs) <= brute_minimum_cover(will, two_hop) + 2:
             within += 1
     assert within >= 0.95 * 120
+
+
+def test_select_mprs_equals_the_reference_greedy():
+    # the cover-map selection must pick exactly what the pair-based greedy
+    # picked: many targets with shared vias make multi-step greedy runs and
+    # score ties, a few willingness values make willingness ties, 0 and 7
+    # occur often, targets may be one-hop neighbors, and some vias are not
+    # symmetric neighbors at all
+    rng = random.Random(1313)
+    rejected = multi_step = 0
+    for _ in range(3000):
+        nodes = list(range(rng.randint(2, 16)))
+        neighbors = rng.sample(nodes, rng.randint(1, len(nodes)))
+        levels = [WILL_NEVER, WILL_DEFAULT, WILL_ALWAYS, rng.randint(1, 6)]
+        will = {n: rng.choice(levels) for n in neighbors}
+        density = rng.random()
+        pairs = {(via, target) for via in neighbors for target in nodes
+                 if target != via and rng.random() < density}
+        if rng.random() < 0.1:
+            pairs.add((rng.choice([n for n in nodes if n not in will] or [99]),
+                       rng.choice(nodes)))
+        try:
+            expected = reference_select_mprs(will.items(), pairs)
+        except ValueError:
+            rejected += 1
+            with pytest.raises(ValueError):
+                select_mprs(will.items(), cover_map(pairs))
+            continue
+        assert select_mprs(will.items(), cover_map(pairs)) == expected, (will, pairs)
+        optional = {n for n, w in will.items() if WILL_NEVER < w < WILL_ALWAYS}
+        multi_step += len(expected.mprs & optional) > 1
+    assert rejected > 200 and multi_step > 150
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +180,10 @@ def test_hello_two_hop_set_tracks_senders_symmetric_links():
     # 5 no longer listed: pruned
     state.process_message(hello(2, [(1, LINK_SYM), (6, LINK_SYM)], seq=2), 2, 2.0)
     assert two_hop_pairs(state) == {(2, 6)}
+    # as many entries as before, but another one: replaced, not refreshed
+    state.process_message(hello(2, [(1, LINK_SYM), (7, LINK_MPR)], seq=3), 2, 4.0)
+    assert two_hop_pairs(state) == {(2, 7)}
+    assert state.strict_two_hop() == {7: 1 << 2}
 
 
 def test_hello_registers_mpr_selector():

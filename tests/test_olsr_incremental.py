@@ -24,7 +24,7 @@ from olsrlab.olsr import (
     select_mprs,
 )
 
-from oracles import bfs_hops, coverage_sets
+from oracles import bfs_hops, cover_map, coverage_sets, reference_select_mprs
 
 SELF = 0
 NEIGHBORS = st.integers(min_value=1, max_value=3)  # may send us a HELLO
@@ -92,15 +92,19 @@ def check_derived_tables(state):
     dup_expiries = list(state.duplicates.values())
     assert dup_expiries == sorted(dup_expiries)
 
-    will = state.symmetric_neighbors()
-    strict = {(via, target)
-              for via, (targets, _) in state.two_hop.items() for target in targets
-              if via in will and target not in will and target != SELF}
-    assert state.strict_two_hop() == strict
+    # the two-hop index is the transpose of the buckets
+    pairs = {(via, target) for via, (targets, _) in state.two_hop.items() for target in targets}
+    assert state._two_hop_vias == cover_map(pairs)
 
-    fresh = select_mprs(will.items(), strict)
+    will = state.symmetric_neighbors()
+    strict = {(via, target) for via, target in pairs
+              if via in will and target not in will and target != SELF}
+    assert state.strict_two_hop() == cover_map(strict)
+
+    fresh = select_mprs(will.items(), cover_map(strict))
     assert state.mprs == fresh.mprs
     assert state.uncoverable == fresh.uncoverable
+    assert fresh == reference_select_mprs(will.items(), strict)
     for target, vias in coverage_sets(will, strict).items():
         if vias:
             assert vias & state.mprs, (target, vias, state.mprs)
@@ -132,6 +136,9 @@ def test_incremental_core_matches_recomputation(config, profile, plan):
             msg = ControlMessage(HELLO, sender, 1, us + tuple(entries), validity, 1,
                                  willingness=will)
             state.process_message(msg, sender, now)
+            # the sender's bucket now holds exactly its symmetric links but us
+            listed = {n for n, code in msg.payload if code != LINK_ASYM} - {SELF}
+            assert state.two_hop.get(sender, (frozenset(), None))[0] == listed
         else:
             sender, origin, selectors, seq, ttl = step
             validity = profile[origin][2]
