@@ -135,12 +135,19 @@ def _write_summary(outdir: str, by_alg: dict[str, list[RunRecord]]) -> dict:
     friedman = None
     omnibus = None
     vs_rest = {}
-    runs = {len(c) for c in costs.values()}
-    if len(algorithms) >= 2 and len(runs) == 1 and runs != {1}:
-        matrix = [[costs[a][i] for a in algorithms] for i in range(runs.pop())]
-        friedman = friedman_mean_ranks(matrix)
-        omnibus = kruskal_wallis([costs[a] for a in algorithms])
-        vs_rest = kruskal_wallis_vs_rest(costs)
+    blocks = []
+    if len(algorithms) >= 2:
+        # Friedman ranks the algorithms within each block, a seed every
+        # algorithm ran; Kruskal-Wallis takes every run, in groups of any size
+        blocks = sorted(set.intersection(*({rec.seed for rec in by_alg[a]}
+                                           for a in algorithms)))
+        if len(blocks) >= 2:
+            cost_at = {a: {rec.seed: rec.best_cost for rec in by_alg[a]} for a in algorithms}
+            friedman = friedman_mean_ranks([[cost_at[a][seed] for a in algorithms]
+                                            for seed in blocks])
+        if any(len(c) > 1 for c in costs.values()):
+            omnibus = kruskal_wallis([costs[a] for a in algorithms])
+            vs_rest = kruskal_wallis_vs_rest(costs)
 
     with open(os.path.join(outdir, "summary.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -166,10 +173,15 @@ def _write_summary(outdir: str, by_alg: dict[str, list[RunRecord]]) -> dict:
         entry["friedman_rank"] = friedman.mean_ranks[i] if friedman else None
         entry["kw_p_vs_rest"] = vs_rest[row.algorithm].p_value if vs_rest else None
         algorithm_entries[row.algorithm] = entry
+    friedman_entry = None
+    if friedman:
+        friedman_entry = {"statistic": friedman.statistic, "p_value": friedman.p_value}
+        if any(row.runs > len(blocks) for row in rows):
+            # some runs have a seed another algorithm lacks and were left out
+            friedman_entry["blocks"] = len(blocks)
     doc = {
         "algorithms": algorithm_entries,
-        "friedman": {"statistic": friedman.statistic, "p_value": friedman.p_value}
-        if friedman else None,
+        "friedman": friedman_entry,
         "kruskal_wallis": {"statistic": omnibus.statistic, "p_value": omnibus.p_value}
         if omnibus else None,
     }

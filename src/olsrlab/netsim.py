@@ -19,7 +19,11 @@ for protocol tuning:
 
 Events are processed in nondecreasing time with ties broken by
 (time, kind precedence, subject id, insertion order), so a run is a pure
-function of (scenario, config, seed).
+function of (scenario, config, seed).  CBR packets are scheduled one at a
+time per session: sending one schedules the session's next, so the event
+heap never holds more than one future packet per session.  Ties between
+packets of one source break by session index, the order in which
+scheduling every packet up front would have inserted them.
 
 A node's protocol state is purged of expired tuples at the start of every
 handler that reads it (periodic emission, CBR send, frame arrival), and
@@ -46,6 +50,7 @@ EVENT_ORDER = {
     "cbr-send": 4,
     "sim-end": 5,
 }
+_CBR_ORDER = EVENT_ORDER["cbr-send"]
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,7 @@ def collect_metrics(counters: Counters, duration: float) -> QosMetrics:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class DataPacket:
     uid: tuple[int, int]      # (session index, packet index)
     source: int
@@ -113,26 +118,28 @@ class DataPacket:
     hop_count: int = 0
 
 
-@dataclass
 class Frame:
-    payload: object           # ControlMessage or DataPacket
-    transmitter: int
-    dest: int | None          # None = broadcast
-    size_bytes: int
-    attempts: int = 0
+    __slots__ = ("payload", "transmitter", "dest", "size_bytes", "attempts", "is_control")
 
-    @property
-    def is_control(self) -> bool:
-        return isinstance(self.payload, ControlMessage)
+    def __init__(self, payload, transmitter: int, dest: int | None, size_bytes: int):
+        self.payload = payload            # ControlMessage or DataPacket
+        self.transmitter = transmitter
+        self.dest = dest                  # None = broadcast
+        self.size_bytes = size_bytes
+        self.attempts = 0
+        self.is_control = isinstance(payload, ControlMessage)
 
 
-@dataclass
 class _Transmission:
-    transmitter: int
-    start: float
-    end: float
-    frame: Frame
-    pos: tuple[float, float]  # transmitter position at start
+    __slots__ = ("transmitter", "start", "end", "frame", "pos")
+
+    def __init__(self, transmitter: int, start: float, end: float, frame: Frame,
+                 pos: tuple[float, float]):
+        self.transmitter = transmitter
+        self.start = start
+        self.end = end
+        self.frame = frame
+        self.pos = pos  # transmitter position at start
 
 
 class _SimNode:
@@ -163,7 +170,12 @@ class Simulator:
         self._heap: list = []
         self._insertions = 0
         self._transmissions: list[_Transmission] = []
-        self._tx_range = scenario.radio_mac.tx_range
+        mac = scenario.radio_mac
+        self._tx_range = mac.tx_range
+        self._bandwidth = mac.bandwidth
+        self._backoff_window = mac.backoff_slots * mac.slot_time
+        self._processing_delay = mac.processing_delay
+        self._max_retransmissions = mac.max_retransmissions
         self._candidates = None  # built on the first run, cached on the trace
         self.nodes: dict[int, _SimNode] = {}
         for node_id in self.scenario.trace.nodes:
@@ -183,15 +195,18 @@ class Simulator:
         if self._event_log is not None:
             self._event_log.write(f"{self.now:.6f} {subject} {kind} {detail}\n")
 
-    def _in_range(self, a: tuple[float, float], b: tuple[float, float]) -> bool:
-        return math.dist(a, b) <= self._tx_range
+    def _schedule_cbr(self, si: int, k: int, session) -> None:
+        """Schedule packet ``k`` of session ``si``, if its window has it.
 
-    def _airtime(self, frame: Frame) -> float:
-        return frame.size_bytes * 8.0 / self.scenario.radio_mac.bandwidth
-
-    def _backoff(self) -> float:
-        mac = self.scenario.radio_mac
-        return self.rng.uniform(0.0, mac.backoff_slots * mac.slot_time)
+        The session index stands in for the insertion order, so that ties
+        between one source's packets break as they would if every packet
+        had been scheduled before the run.
+        """
+        t = session.send_time(k)
+        if t is not None:
+            heapq.heappush(self._heap, (t, _CBR_ORDER, session.source, si, "cbr-send",
+                                        (si, k, session)))
+            self._insertions += 1
 
     # -- run loop ---------------------------------------------------------
 
@@ -201,14 +216,14 @@ class Simulator:
         for node in self.nodes.values():
             self._schedule(node.state.next_emission(), "periodic-emit", node.node_id)
         for si, session in enumerate(self.scenario.sessions):
-            for k, t in enumerate(session.send_times()):
-                self._schedule(t, "cbr-send", session.source, (si, k, session))
+            self._schedule_cbr(si, 0, session)
         self._schedule(duration, "sim-end", -1)
 
         handlers = {kind: getattr(self, "_on_" + kind.replace("-", "_"))
                     for kind in EVENT_ORDER if kind != "sim-end"}
-        while self._heap:
-            time, _, subject, _, kind, payload = heapq.heappop(self._heap)
+        heap, pop = self._heap, heapq.heappop
+        while heap:
+            time, _, subject, _, kind, payload = pop(heap)
             self.now = time
             if kind == "sim-end":
                 self._log(subject, kind, "")
@@ -232,6 +247,7 @@ class Simulator:
         si, k, session = payload
         node = self.nodes[source]
         node.state.purge_expired(self.now)
+        self._schedule_cbr(si, k + 1, session)
         packet = DataPacket((si, k), source, session.dest, self.now, session.packet_size)
         self.counters.data_sent += 1
         if self._event_log is not None:
@@ -250,75 +266,91 @@ class Simulator:
         other stations may still see an idle channel.
         """
         frame = node.current
+        node_id = node.node_id
         trace = self.scenario.trace
+        tx_range = self._tx_range
         pos = None  # looked up only when another node is on the air
         busy_until = 0.0
         for tx in self._transmissions:
             if not tx.start <= now < tx.end:
                 continue
-            if tx.transmitter != node.node_id:
+            if tx.transmitter != node_id:
                 if pos is None:
-                    pos = trace.position(node.node_id, now)
-                if not self._in_range(pos, tx.pos):
+                    pos = trace.position(node_id, now)
+                if math.dist(pos, tx.pos) > tx_range:
                     continue
-            busy_until = max(busy_until, tx.end)
+            if tx.end > busy_until:
+                busy_until = tx.end
         if busy_until > 0.0:
-            self._schedule(busy_until + self._backoff(), "frame-send", node.node_id)
+            self._schedule(busy_until + self.rng.uniform(0.0, self._backoff_window),
+                           "frame-send", node_id)
             return
-        start = now + self._backoff()
-        end = start + self._airtime(frame)
+        start = now + self.rng.uniform(0.0, self._backoff_window)
+        end = start + frame.size_bytes * 8.0 / self._bandwidth
         frame.attempts += 1
         if frame.is_control:
             self.counters.routing_tx += 1
-        tx = _Transmission(node.node_id, start, end,
-                           frame, trace.position(node.node_id, start))
+        tx = _Transmission(node_id, start, end, frame, trace.position(node_id, start))
         self._transmissions.append(tx)
-        self._schedule(end, "frame-txend", node.node_id, tx)
+        self._schedule(end, "frame-txend", node_id, tx)
 
     def _on_frame_txend(self, node_id: int, tx: _Transmission) -> None:
-        node = self.nodes[node_id]
         frame = tx.frame
-        # a transmission that ended before every one still on the air (this
-        # one included) began overlaps none of them, nor any later one; with
-        # this transmission alone on the list there is nothing to drop
-        if len(self._transmissions) > 1:
-            horizon = min(t.start for t in self._transmissions if t.end >= self.now)
-            self._transmissions = [t for t in self._transmissions if t.end > horizon]
-        delay = self.scenario.radio_mac.processing_delay
+        now = self.now
+        transmissions = self._transmissions
+        alone = len(transmissions) == 1  # this one is always listed until judged
+        # only a listed transmission that overlaps this one can corrupt it;
+        # with none, every receiver in range gets the frame
+        rivals = None if alone else [
+            other for other in transmissions
+            if other.start < tx.end and tx.start < other.end and other is not tx]
         trace = self.scenario.trace
+        tx_range = self._tx_range
         if frame.dest is None:
-            arrival, payload = self.now + delay, (frame.payload, node_id)
+            arrival, payload = now + self._processing_delay, (frame.payload, node_id)
             for other in self._candidates(node_id, tx.start):
                 rpos = trace.position(other, tx.start)
-                if self._in_range(rpos, tx.pos) and not self._corrupted(tx, other, rpos):
+                if math.dist(rpos, tx.pos) <= tx_range and not (
+                        rivals and self._corrupted(rivals, other, rpos)):
                     self._schedule(arrival, "frame-arrival", other, payload)
-            self._finish_frame(node)
-            return
-        dest = frame.dest
-        rpos = trace.position(dest, tx.start)
-        ok = self._in_range(rpos, tx.pos) and not self._corrupted(tx, dest, rpos)
-        if ok:
-            self._schedule(self.now + delay, "frame-arrival", dest,
-                           (frame.payload, node_id))
-            self._finish_frame(node)
-        elif frame.attempts <= self.scenario.radio_mac.max_retransmissions:
-            self._schedule(self.now, "frame-send", node_id)
+            self._finish_frame(self.nodes[node_id])
         else:
-            if not frame.is_control:
-                self.counters.dropped_mac += 1
-                self._log(node_id, "frame-txend",
-                          f"drop-mac uid={frame.payload.uid[0]}:{frame.payload.uid[1]}")
-            self._finish_frame(node)
+            dest = frame.dest
+            rpos = trace.position(dest, tx.start)
+            if math.dist(rpos, tx.pos) <= tx_range and not (
+                    rivals and self._corrupted(rivals, dest, rpos)):
+                self._schedule(now + self._processing_delay, "frame-arrival", dest,
+                               (frame.payload, node_id))
+                self._finish_frame(self.nodes[node_id])
+            elif frame.attempts <= self._max_retransmissions:
+                self._schedule(now, "frame-send", node_id)
+            else:
+                if not frame.is_control:
+                    self.counters.dropped_mac += 1
+                    self._log(node_id, "frame-txend",
+                              f"drop-mac uid={frame.payload.uid[0]}:{frame.payload.uid[1]}")
+                self._finish_frame(self.nodes[node_id])
+        # prune after the verdicts: a transmission that ended before every
+        # other one still on the air began (and before now, the earliest
+        # start of any later one) overlaps none of them, so it can never
+        # corrupt a frame or busy the channel again.  This one has been
+        # judged, so it does not hold the horizon back.
+        if alone:
+            transmissions.clear()
+            return
+        horizon = now
+        for other in transmissions:
+            if other.end >= now and other.start < horizon and other is not tx:
+                horizon = other.start
+        self._transmissions = [other for other in transmissions if other.end > horizon]
 
-    def _corrupted(self, tx: _Transmission, receiver: int,
+    def _corrupted(self, rivals: list[_Transmission], receiver: int,
                    receiver_pos: tuple[float, float]) -> bool:
-        """True when another overlapping transmission is audible at the receiver."""
-        for other in self._transmissions:
-            if other is tx:
-                continue
-            if other.start < tx.end and tx.start < other.end:
-                if other.transmitter == receiver or self._in_range(receiver_pos, other.pos):
-                    return True
+        """True when one of the overlapping transmissions is audible at the receiver."""
+        tx_range = self._tx_range
+        for other in rivals:
+            if other.transmitter == receiver or math.dist(receiver_pos, other.pos) <= tx_range:
+                return True
         return False
 
     def _finish_frame(self, node: _SimNode) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -37,8 +37,6 @@ WILL_ALWAYS = 7
 CONTROL_TTL = 255  # hop budget for flooded TC messages
 MSG_HEADER_BYTES = 16
 MSG_ENTRY_BYTES = 8
-
-_NOTHING = frozenset()
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,8 @@ class ControlMessage:
         return MSG_HEADER_BYTES + MSG_ENTRY_BYTES * len(self.payload)
 
     def forwarded_copy(self) -> "ControlMessage":
-        return replace(self, ttl=self.ttl - 1)
+        return ControlMessage(self.kind, self.originator, self.seq, self.payload,
+                              self.validity_time, self.ttl - 1, self.willingness)
 
     @cached_property
     def listed(self) -> frozenset:
@@ -145,6 +144,14 @@ class ControlMessage:
     def symmetric_listed(self) -> frozenset:
         """HELLO: the neighbors listed over a symmetric link, relays included."""
         return frozenset(nbr for nbr, code in self.payload if code in (LINK_SYM, LINK_MPR))
+
+    @cached_property
+    def symmetric_mask(self) -> int:
+        """HELLO: ``symmetric_listed`` as a bit mask (bit n for node n)."""
+        mask = 0
+        for nbr in self.symmetric_listed:
+            mask |= 1 << nbr
+        return mask
 
 
 class MprSelection(NamedTuple):
@@ -247,16 +254,19 @@ class NodeState:
       replaces one bucket, and the sweep visits buckets, not entries.
     * ``duplicates`` is inserted in expiry order, so the sweep drops its
       expired entries from the front.
+    * ``_two_hop_masks`` holds each bucket's targets as a bit mask (bit n
+      for node n, so node ids are non-negative, as a scenario's 0..n-1
+      are).  A HELLO's symmetric list is parsed into a mask once for all
+      its receivers (``ControlMessage.symmetric_mask``), so a HELLO whose
+      sender's bucket is unchanged costs one integer comparison and builds
+      no set.
     * ``_two_hop_vias`` is the transpose of ``two_hop``: it maps every
       target some bucket lists to the bit mask of the neighbors whose
-      buckets list it (bit n for node n, so node ids are non-negative, as
-      a scenario's 0..n-1 are), and it holds no zero mask.  It changes
-      only where a bucket's membership does, by the difference.  A HELLO
-      whose sender's bucket is unchanged costs a subset test over that
-      bucket and builds no set; one that changes it also builds the new
-      bucket and the difference, and flips one bit per target in it.
-      :meth:`strict_two_hop` reads the index, at O(links + two-hop
-      targets), not O(sum of bucket sizes).
+      buckets list it, and it holds no zero mask.  It changes only where a
+      bucket's membership does: a HELLO that changes a bucket builds the
+      new bucket and flips the sender's bit for each target in the XOR of
+      the old and new masks.  :meth:`strict_two_hop` reads the index, at
+      O(links + two-hop targets), not O(sum of bucket sizes).
     * The MPR set is a pure function of the symmetric links and the
       two-hop set.  A change to either marks it stale, and it is selected
       again when next read (``mprs``, ``uncoverable``).
@@ -279,6 +289,8 @@ class NodeState:
         self.links: dict[int, _Link] = {}
         # advertising neighbor -> (targets, expiry); no bucket is empty
         self.two_hop: dict[int, tuple[frozenset, float]] = {}
+        # advertising neighbor -> bit mask of its bucket's targets
+        self._two_hop_masks: dict[int, int] = {}
         # the transpose of two_hop: target -> bit mask of the neighbors
         # whose bucket lists it (bit n for node n); no mask is zero
         self._two_hop_vias: dict[int, int] = {}
@@ -388,23 +400,21 @@ class NodeState:
         link_expiry = now + self.config.neighb_hold_time
         self.links[sender] = _Link(status, link_expiry, will)
 
-        # two-hop entries come from the sender's symmetric links only.  The
-        # bucket is the listed set less us, so it is unchanged when it is a
-        # subset of that size, a test that builds no set
-        listed = msg.symmetric_listed
-        bucket = self.two_hop.get(sender)
-        old_targets = bucket[0] if bucket is not None else _NOTHING
-        two_hop_changed = not (len(old_targets) == len(listed) - (self.self_id in listed)
-                               and old_targets <= listed)
+        # two-hop entries come from the sender's symmetric links only: the
+        # bucket is the listed set less us, compared as one bit mask
+        mask = msg.symmetric_mask & ~(1 << self.self_id)
+        old_mask = self._two_hop_masks.get(sender, 0)
+        two_hop_changed = mask != old_mask
         if two_hop_changed:
-            targets = listed - {self.self_id}
-            self._reindex(sender, old_targets, targets)
-            if targets:
-                self.two_hop[sender] = (targets, expiry)
+            self._reindex(sender, old_mask ^ mask)
+            if mask:
+                self._two_hop_masks[sender] = mask
+                self.two_hop[sender] = (msg.symmetric_listed - {self.self_id}, expiry)
             else:
+                del self._two_hop_masks[sender]
                 del self.two_hop[sender]
-        elif bucket is not None:
-            self.two_hop[sender] = (old_targets, expiry)
+        elif mask:
+            self.two_hop[sender] = (self.two_hop[sender][0], expiry)
 
         if self.self_id in msg.mpr_listed:
             self.mpr_selectors[sender] = expiry
@@ -498,13 +508,13 @@ class NodeState:
         dead_links = [n for n, l in self.links.items() if l.expiry < now]
         for nbr in dead_links:
             del self.links[nbr]
-            bucket = self.two_hop.pop(nbr, None)
-            if bucket is not None:
-                self._reindex(nbr, bucket[0], _NOTHING)
+            if self.two_hop.pop(nbr, None) is not None:
+                self._reindex(nbr, self._two_hop_masks.pop(nbr))
             self.mpr_selectors.pop(nbr, None)
         dead_two_hop = [via for via, (_, exp) in self.two_hop.items() if exp < now]
         for via in dead_two_hop:
-            self._reindex(via, self.two_hop.pop(via)[0], _NOTHING)
+            del self.two_hop[via]
+            self._reindex(via, self._two_hop_masks.pop(via))
         dead_topology = [last for last, (_, _, exp) in self.topology.items() if exp < now]
         for last in dead_topology:
             del self.topology[last]
@@ -531,12 +541,12 @@ class NodeState:
 
     # -- derived tables ---------------------------------------------------
 
-    def _reindex(self, via: int, old: frozenset, new: frozenset) -> None:
-        """Move ``via``'s bit in the transposed index from ``old`` targets to ``new``."""
+    def _reindex(self, via: int, flipped: int) -> None:
+        """Flip ``via``'s bit in the transposed index for each target in the
+        ``flipped`` mask: the targets its bucket gained or lost."""
         bit = 1 << via
         index = self._two_hop_vias
-        # a target in exactly one of the two sets gains or loses the bit
-        for target in old ^ new:
+        for target in _ids(flipped):
             vias = index.get(target, 0) ^ bit
             if vias:
                 index[target] = vias

@@ -384,6 +384,14 @@ def search(opt_config: OptimizerConfig, objective) -> RunRecord:
     record's best, or a bare cost, whose best candidate is decoded into a
     config with no metrics attached.  A non-finite cost raises
     :class:`ValueError` at the evaluation that returned it.
+
+    Runs with the same seed share their starting points (common random
+    numbers): the generator is seeded with ``opt_config.seed`` alone, and
+    every algorithm draws its start from it through ``_sample``.  So RAND's
+    first ``population`` points are the initial population of PSO, DE and
+    GA, and SA starts from the first of them.  Friedman's blocks compare
+    algorithms on one seed, which this suits; the runs of different
+    algorithms are not independent.
     """
     opt_config.validate()
     rng = np.random.default_rng(opt_config.seed)

@@ -64,17 +64,12 @@ class CbrSession:
     packet_size: int = 512   # bytes
     packet_rate: float = 4.0  # packets per second
 
-    def send_times(self):
-        """Packet emission times, start inclusive, start+duration exclusive."""
-        times = []
-        k = 0
-        while True:
-            t = self.start + k / self.packet_rate
-            if t >= self.start + self.duration - 1e-9:
-                break
-            times.append(t)
-            k += 1
-        return times
+    def send_time(self, k: int) -> float | None:
+        """Emission time of packet ``k``, or None when it falls outside the
+        window, start inclusive, start+duration exclusive.  Times rise with
+        ``k``, so every later packet falls outside too."""
+        t = self.start + k / self.packet_rate
+        return t if t < self.start + self.duration - 1e-9 else None
 
 
 @dataclass
@@ -82,19 +77,33 @@ class MobilityTrace:
     """Waypoints per node: node id -> [(time, x, y), ...] sorted by time.
 
     The trace must not change once a simulation has run on it, because
-    the receiver-candidate tables are cached on it.
+    the receiver-candidate tables and each node's last leg are cached on it.
     """
 
     waypoints: dict[int, list[tuple[float, float, float]]]
     _candidates: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
+    # node -> (t0, t1, t1 - t0, x0, y0, x1 - x0, y1 - y0) of the leg that
+    # answered the node's last interpolated position
+    _legs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def nodes(self) -> list[int]:
         return sorted(self.waypoints)
 
     def position(self, node: int, time: float) -> tuple[float, float]:
-        """Linear interpolation along the node's waypoints, clamped at both ends."""
+        """Linear interpolation along the node's waypoints, clamped at both ends.
+
+        A time strictly inside the node's last leg is answered from that leg
+        with the same arithmetic; a waypoint time, a time on another leg and
+        a time outside the trace go through the bisection.
+        """
+        leg = self._legs.get(node)
+        if leg is not None:
+            t0, t1, span, x0, y0, dx, dy = leg
+            if t0 < time < t1:
+                frac = (time - t0) / span
+                return x0 + frac * dx, y0 + frac * dy
         points = self.waypoints[node]
         if time <= points[0][0]:
             return points[0][1], points[0][2]
@@ -103,8 +112,10 @@ class MobilityTrace:
         i = bisect.bisect_right(points, time, key=_waypoint_time)
         t0, x0, y0 = points[i - 1]
         t1, x1, y1 = points[i]
-        frac = (time - t0) / (t1 - t0)
-        return x0 + frac * (x1 - x0), y0 + frac * (y1 - y0)
+        span, dx, dy = t1 - t0, x1 - x0, y1 - y0
+        self._legs[node] = (t0, t1, span, x0, y0, dx, dy)
+        frac = (time - t0) / span
+        return x0 + frac * dx, y0 + frac * dy
 
     def receiver_candidates(self, tx_range: float) -> Callable[[int, float],
                                                                tuple[int, ...]]:

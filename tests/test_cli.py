@@ -11,6 +11,7 @@ import olsrlab
 from olsrlab.cli import main
 from olsrlab.optimizers import RunRecord
 from olsrlab.scenario import catalog, save_scenario
+from olsrlab.stats import friedman_mean_ranks, kruskal_wallis, kruskal_wallis_vs_rest
 
 
 def read(path):
@@ -295,6 +296,37 @@ def test_optimize_single_run_skips_the_rank_tests(tmp_path):
     summary = json.loads(read(outdir / "summary.json"))
     assert summary["friedman"] is None
     assert summary["kruskal_wallis"] is None
+
+
+def test_optimize_ranks_algorithms_with_unequal_run_counts(tmp_path):
+    # RAND ends with 5 runs and SA with 3: Kruskal-Wallis takes every run,
+    # and Friedman the 3 seeds both ran, which summary.json counts
+    outdir = tmp_path / "camp"
+    assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND,SA",
+                 "--runs", "3", "--budget", "4", "--outdir", str(outdir)]) == 0
+    assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND",
+                 "--runs", "5", "--budget", "4", "--outdir", str(outdir)]) == 0
+    records = {}
+    for name in sorted(os.listdir(outdir / "records")):
+        record = RunRecord.from_text(read(outdir / "records" / name))
+        records.setdefault(record.algorithm, {})[record.seed] = record.best_cost
+    assert sorted(records["RAND"]) == [1, 2, 3, 4, 5] and sorted(records["SA"]) == [1, 2, 3]
+    rand, sa = list(records["RAND"].values()), list(records["SA"].values())
+
+    summary = json.loads(read(outdir / "summary.json"))
+    omnibus = kruskal_wallis([rand, sa])
+    assert summary["kruskal_wallis"] == {"statistic": omnibus.statistic,
+                                         "p_value": omnibus.p_value}
+    vs_rest = kruskal_wallis_vs_rest({"RAND": rand, "SA": sa})
+    friedman = friedman_mean_ranks([[records["RAND"][seed], records["SA"][seed]]
+                                    for seed in (1, 2, 3)])
+    assert summary["friedman"] == {"statistic": friedman.statistic,
+                                   "p_value": friedman.p_value, "blocks": 3}
+    for i, algorithm in enumerate(["RAND", "SA"]):
+        entry = summary["algorithms"][algorithm]
+        assert entry["runs"] == len(records[algorithm])
+        assert entry["kw_p_vs_rest"] == vs_rest[algorithm].p_value
+        assert entry["friedman_rank"] == friedman.mean_ranks[i]
 
 
 def test_optimize_with_the_simulation_objective_stores_metrics(tmp_path):

@@ -1,5 +1,6 @@
 """Event-driven network simulator: delivery, losses, metrics, determinism."""
 
+import bisect
 import io
 import math
 from dataclasses import replace
@@ -144,29 +145,83 @@ def test_hidden_terminals_collide_until_the_retry_budget_dies(seed):
     assert sim.counters.dropped_mac == 40
 
 
-class _CollisionAudit(Simulator):
-    """Checks every collision verdict against the full transmission history."""
+def _heard_overlap(overlapping, receiver, receiver_pos, tx_range):
+    """Whether one of the overlapping transmissions is audible at the
+    receiver: the receiver sends it, or is in its range."""
+    return any(other.transmitter == receiver
+               or math.dist(receiver_pos, other.pos) <= tx_range
+               for other in overlapping)
+
+
+class _TxendAudit(Simulator):
+    """Keeps every transmission ever made, and hands each frame-txend's
+    scheduled arrivals to ``judge``, after the handler returns.
+
+    The expected outcome is computed from that history and the test
+    oracle's positions alone, never from the simulator's live transmission
+    list, which the handler prunes before it returns.  The history is the
+    transmissions still to end plus the ended ones in the order they ended,
+    which is the order of their end times, so the ones ending after a
+    given time are found by bisection.
+    """
 
     def __init__(self, *args, **kwargs):
-        self.history = []
-        self.verdicts = []
+        self.pending = {}  # id -> transmission scheduled to end, not yet ended
+        self.ended = []    # ended transmissions, by end time
+        self.ends = []     # their end times
+        self.arrivals = None
         super().__init__(*args, **kwargs)
 
     def _schedule(self, time, kind, subject, payload=None):
         if kind == "frame-txend":
-            self.history.append(payload)
+            self.pending[id(payload)] = payload
+        elif kind == "frame-arrival" and self.arrivals is not None:
+            self.arrivals.append(subject)
         super()._schedule(time, kind, subject, payload)
 
-    def _corrupted(self, tx, receiver, receiver_pos):
-        got = super()._corrupted(tx, receiver, receiver_pos)
+    def _on_frame_txend(self, node_id, tx):
+        del self.pending[id(tx)]
+        assert not self.ends or self.ends[-1] <= tx.end
+        self.ended.append(tx)
+        self.ends.append(tx.end)
+        self.arrivals = []
+        super()._on_frame_txend(node_id, tx)
+        got, self.arrivals = self.arrivals, None
+        self.judge(node_id, tx, got)
+
+    def overlapping(self, tx):
+        """Every other transmission ever made that overlaps ``tx`` in time;
+        one made later starts at or after now, when ``tx`` ends."""
+        later = self.ended[bisect.bisect_right(self.ends, tx.start):]
+        return [other for other in [*later, *self.pending.values()]
+                if other is not tx and other.start < tx.end and tx.start < other.end]
+
+    def judge(self, node_id, tx, got):
+        raise NotImplementedError
+
+
+class _CollisionAudit(_TxendAudit):
+    """Checks every reception decision against the full transmission history:
+    each receiver in range of a frame, whether or not the simulator had to
+    scan for collisions to decide it."""
+
+    def __init__(self, *args, **kwargs):
+        self.verdicts = []
+        super().__init__(*args, **kwargs)
+
+    def judge(self, node_id, tx, got):
+        waypoints = self.scenario.trace.waypoints
         tx_range = self.scenario.radio_mac.tx_range
-        want = any(
-            other is not tx and other.start < tx.end and tx.start < other.end
-            and (other.transmitter == receiver
-                 or math.dist(receiver_pos, other.pos) <= tx_range)
-            for other in self.history)
-        self.verdicts.append((got, want))
-        return got
+        receivers = ([tx.frame.dest] if tx.frame.dest is not None
+                     else [n for n in sorted(waypoints) if n != node_id])
+        overlapping = self.overlapping(tx)
+        for receiver in receivers:
+            rpos = position_at(waypoints[receiver], tx.start)
+            if math.dist(rpos, tx.pos) > tx_range:
+                continue
+            corrupted = receiver not in got
+            want = _heard_overlap(overlapping, receiver, rpos, tx_range)
+            self.verdicts.append((corrupted, want))
 
 
 def test_collision_test_remembers_frames_longer_than_a_short_window():
@@ -183,36 +238,27 @@ def test_collision_test_remembers_frames_longer_than_a_short_window():
     assert all(got == want for got, want in sim.verdicts)
 
 
-class _ReceiverAudit(Simulator):
+class _ReceiverAudit(_TxendAudit):
     """Checks every broadcast's receivers against a scan over all nodes."""
 
     def __init__(self, *args, **kwargs):
-        self.arrivals = None
         self.broadcasts = 0
         self.moved_into_range = 0
         super().__init__(*args, **kwargs)
 
-    def _schedule(self, time, kind, subject, payload=None):
-        if kind == "frame-arrival" and self.arrivals is not None:
-            self.arrivals.append(subject)
-        super()._schedule(time, kind, subject, payload)
-
-    def _on_frame_txend(self, node_id, tx):
+    def judge(self, node_id, tx, got):
         if tx.frame.dest is not None:
-            super()._on_frame_txend(node_id, tx)
             return
-        self.arrivals = []
-        super()._on_frame_txend(node_id, tx)
-        got, self.arrivals = self.arrivals, None
         waypoints = self.scenario.trace.waypoints
         tx_range = self.scenario.radio_mac.tx_range
         assert tx.pos == position_at(waypoints[node_id], tx.start)
         slot_start = math.floor(tx.start / CANDIDATE_SLOT) * CANDIDATE_SLOT
+        overlapping = self.overlapping(tx)
         want = []
         for other in sorted(waypoints):
             rpos = position_at(waypoints[other], tx.start)
             if (other != node_id and math.dist(rpos, tx.pos) <= tx_range
-                    and not self._corrupted(tx, other, rpos)):
+                    and not _heard_overlap(overlapping, other, rpos, tx_range)):
                 want.append(other)
                 if math.dist(position_at(waypoints[other], slot_start),
                              position_at(waypoints[node_id], slot_start)) > tx_range:
@@ -354,6 +400,69 @@ def test_willingness_extremes_reproduce_their_pinned_metrics(name, willingness, 
     assert run_simulation(catalog()[name], config, 1) == expected
 
 
+# congested-small at seed 1 over the tuning box: the shortest intervals
+# (1 s), both willingness extremes and both ends of the hold times.  Long
+# hold times keep routes over links that are gone, so a packet is tried
+# seven times before the MAC drops it; these runs spend most of their
+# events on those retries.  Columns: hello, refresh, tc, willingness,
+# neighb_hold, top_hold, mid_hold, dup_hold; MAC drops; events scheduled.
+@pytest.mark.parametrize("fields,mac_drops,events,expected", [
+    ((1.0, 1.0, 1.0, 3, 3.0, 3.0, 3.0, 3.0), 20, 12527, QosMetrics(
+        pdr=0.93, nrl=2.532258064516129, e2ed=0.0013450277034359073,
+        rpl=1.2473118279569892, data_sent=400, data_delivered=372,
+        data_dropped=28, data_in_flight=0, routing_tx=942)),
+    ((30.0, 30.0, 30.0, 7, 100.0, 100.0, 100.0, 100.0), 117, 2930, QosMetrics(
+        pdr=0.3, nrl=0.6, e2ed=0.0010507875884156507,
+        rpl=1.0, data_sent=400, data_delivered=120,
+        data_dropped=280, data_in_flight=0, routing_tx=72)),
+    ((1.0, 2.0, 1.0, 7, 100.0, 100.0, 15.0, 100.0), 117, 33623, QosMetrics(
+        pdr=0.7075, nrl=24.862190812720847, e2ed=0.001089000654959238,
+        rpl=1.0, data_sent=400, data_delivered=283,
+        data_dropped=117, data_in_flight=0, routing_tx=7036)),
+    ((1.0, 2.0, 30.0, 0, 3.0, 3.0, 15.0, 3.0), 21, 8943, QosMetrics(
+        pdr=0.7, nrl=2.442857142857143, e2ed=0.001062585468403121,
+        rpl=1.0, data_sent=400, data_delivered=280,
+        data_dropped=120, data_in_flight=0, routing_tx=684)),
+    ((30.0, 2.0, 1.0, 0, 100.0, 100.0, 15.0, 30.0), 117, 3271, QosMetrics(
+        pdr=0.265, nrl=0.18867924528301888, e2ed=0.0011062656079012423,
+        rpl=1.0, data_sent=400, data_delivered=106,
+        data_dropped=294, data_in_flight=0, routing_tx=20)),
+    ((1.0, 2.0, 5.0, 7, 3.0, 100.0, 15.0, 3.0), 24, 14546, QosMetrics(
+        pdr=0.94, nrl=5.252659574468085, e2ed=0.0013464512975479358,
+        rpl=1.2632978723404256, data_sent=400, data_delivered=376,
+        data_dropped=24, data_in_flight=0, routing_tx=1975)),
+    ((2.0, 2.0, 1.0, 3, 100.0, 3.0, 15.0, 100.0), 117, 26361, QosMetrics(
+        pdr=0.7075, nrl=9.060070671378092, e2ed=0.0010800871348590466,
+        rpl=1.0, data_sent=400, data_delivered=283,
+        data_dropped=117, data_in_flight=0, routing_tx=2564)),
+    ((1.0, 1.0, 1.0, 0, 3.0, 3.0, 3.0, 3.0), 23, 9581, QosMetrics(
+        pdr=0.6975, nrl=2.4336917562724016, e2ed=0.001053005471744119,
+        rpl=1.0, data_sent=400, data_delivered=279,
+        data_dropped=121, data_in_flight=0, routing_tx=679)),
+    ((10.0, 2.0, 10.0, 5, 30.0, 30.0, 15.0, 30.0), 117, 4064, QosMetrics(
+        pdr=0.7075, nrl=0.37809187279151946, e2ed=0.001054629140960252,
+        rpl=1.0, data_sent=400, data_delivered=283,
+        data_dropped=117, data_in_flight=0, routing_tx=107)),
+    ((1.0, 2.0, 2.5, 1, 6.0, 15.0, 15.0, 30.0), 44, 11345, QosMetrics(
+        pdr=0.88, nrl=2.403409090909091, e2ed=0.0012739132983564459,
+        rpl=1.2045454545454546, data_sent=400, data_delivered=352,
+        data_dropped=48, data_in_flight=0, routing_tx=846)),
+    ((30.0, 30.0, 30.0, 3, 3.0, 3.0, 3.0, 3.0), 0, 690, QosMetrics(
+        pdr=0.03, nrl=1.6666666666666667, e2ed=0.0010799637018479302,
+        rpl=1.0, data_sent=400, data_delivered=12,
+        data_dropped=388, data_in_flight=0, routing_tx=20)),
+    ((3.7, 8.1, 12.2, 4, 11.1, 47.5, 60.0, 8.8), 83, 4930, QosMetrics(
+        pdr=0.775, nrl=0.6645161290322581, e2ed=0.0012403904095253343,
+        rpl=1.1483870967741936, data_sent=400, data_delivered=310,
+        data_dropped=90, data_in_flight=0, routing_tx=206)),
+])
+def test_tuning_box_configs_reproduce_their_pinned_metrics(fields, mac_drops, events, expected):
+    sim = Simulator(catalog()["congested-small"], OlsrConfig(*fields), 1)
+    assert sim.run() == expected
+    assert sim.counters.dropped_mac == mac_drops
+    assert sim._insertions == events
+
+
 # ---------------------------------------------------------------------------
 # protocol state is purged where it is read
 # ---------------------------------------------------------------------------
@@ -415,6 +524,34 @@ def test_same_seed_reproduces_metrics_and_event_log():
     assert a == b
     assert log_a.getvalue() == log_b.getvalue()
     assert run_simulation(spec, OlsrConfig(), 8) != a
+
+
+@pytest.mark.parametrize("second_start,expected", [
+    # both sessions start together: session 0 leads at every shared time
+    (30.0, ["30.000000 0:0", "30.000000 1:0", "30.250000 0:1", "30.250000 1:1",
+            "30.500000 0:2", "30.500000 1:2", "30.750000 0:3", "30.750000 1:3"]),
+    # session 1 starts one period later, when session 0 is on its second
+    # packet: session 0 still leads at every shared time
+    (30.25, ["30.000000 0:0", "30.250000 0:1", "30.250000 1:0", "30.500000 0:2",
+             "30.500000 1:1", "30.750000 0:3", "30.750000 1:2", "31.000000 1:3"]),
+])
+def test_cbr_sessions_of_one_source_keep_their_session_order(second_start, expected):
+    spec = ScenarioSpec(
+        name="shared-source",
+        area=(300.0, 100.0),
+        duration=40.0,
+        nodes=3,
+        trace=MobilityTrace({0: [(0.0, 50.0, 50.0)], 1: [(0.0, 150.0, 50.0)],
+                             2: [(0.0, 250.0, 50.0)]}),
+        sessions=[CbrSession(0, 2, 30.0, 1.0), CbrSession(0, 1, second_start, 1.0)],
+    ).validate()
+    log = io.StringIO()
+    metrics = run_simulation(spec, OlsrConfig(), 1, event_log=log)
+    sends = [f"{fields[0]} {fields[3].removeprefix('uid=')}"
+             for fields in map(str.split, log.getvalue().splitlines())
+             if fields[2] == "cbr-send"]
+    assert sends == expected
+    assert metrics.data_delivered == 8
 
 
 def test_event_log_lines_are_well_formed():

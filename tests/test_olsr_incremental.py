@@ -92,7 +92,10 @@ def check_derived_tables(state):
     dup_expiries = list(state.duplicates.values())
     assert dup_expiries == sorted(dup_expiries)
 
-    # the two-hop index is the transpose of the buckets
+    # each bucket's mask holds its targets, and the two-hop index is the
+    # transpose of the buckets
+    assert state._two_hop_masks == {via: sum(1 << target for target in targets)
+                                    for via, (targets, _) in state.two_hop.items()}
     pairs = {(via, target) for via, (targets, _) in state.two_hop.items() for target in targets}
     assert state._two_hop_vias == cover_map(pairs)
 

@@ -198,6 +198,27 @@ def test_same_seed_reproduces_the_whole_run(algorithm):
     assert a != c
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_runs_with_one_seed_share_their_starting_points(seed):
+    # common random numbers: RAND's first population points are the first
+    # generation of PSO, DE and GA, and SA starts from the first of them
+    population = 6
+    starts = {}
+    for algorithm in ALGORITHMS:
+        record = search(OptimizerConfig(algorithm, budget=12, population=population,
+                                        seed=seed), sphere)
+        starts[algorithm] = [candidate for _, _, candidate in record.trajectory]
+    first = starts["RAND"][:population]
+    assert len(set(first)) == population
+    for algorithm in ("PSO", "DE", "GA"):
+        assert starts[algorithm][:population] == first, algorithm
+    assert starts["SA"][0] == first[0]
+    assert starts["SA"][1] not in first
+    other = search(OptimizerConfig("RAND", budget=population, population=population,
+                                   seed=seed + 10), sphere)
+    assert [candidate for _, _, candidate in other.trajectory] != first
+
+
 # sha256 of to_text(include_timing=False) at budget 60, population 10, seed 1;
 # any change to how a search draws or steps moves these
 PINNED_RECORDS = {

@@ -76,6 +76,39 @@ def test_position_at_matches_a_linear_scan_including_exact_waypoint_times():
             assert trace.position(node, time) == position_at(points, time)
 
 
+
+def _bits(point):
+    return tuple(value.hex() for value in point)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_position_equals_the_oracle_bit_for_bit_in_any_query_order(seed):
+    # the trace answers a time inside a node's last leg from that leg; the
+    # answers must not depend on which leg an earlier query left behind
+    rng = random.Random(seed)
+    duration = 60.0
+    trace = generate_random_waypoint((400.0, 300.0), 4, duration, URBAN_SPEED_RANGE, seed=seed)
+    trace.waypoints[4] = [(0.0, 10.0, 20.0)]                     # parked
+    trace.waypoints[5] = [(5.0, 0.0, 0.0), (9.0, 40.0, 30.0)]    # one leg inside the run
+    bursts = []
+    for node, points in trace.waypoints.items():
+        for t, _, _ in points:
+            # exact waypoint times and their float neighbours
+            bursts += [[(node, t)], [(node, math.nextafter(t, -math.inf))],
+                       [(node, math.nextafter(t, math.inf))]]
+        # single queries anywhere, before and after the trace included
+        bursts += [[(node, rng.uniform(-10.0, duration + 10.0))] for _ in range(60)]
+        # runs of rising times, as a simulation asks, mostly inside one leg
+        for _ in range(10):
+            start, step = rng.uniform(-1.0, duration + 1.0), rng.uniform(1e-4, 0.5)
+            bursts.append([(node, start + k * step) for k in range(20)])
+    rng.shuffle(bursts)
+    queries = [query for burst in bursts for query in burst]
+    assert len(queries) > 1500
+    for node, time in queries:
+        want = position_at(trace.waypoints[node], time)
+        assert _bits(trace.position(node, time)) == _bits(want), (node, time)
+
 @st.composite
 def node_waypoints(draw):
     """A parked node or a walk at up to 100 m/s, first waypoint at t >= 0.
@@ -171,15 +204,18 @@ def test_random_waypoint_rejects_bad_arguments():
 # ---------------------------------------------------------------------------
 
 def test_cbr_send_times_grid():
-    times = CbrSession(0, 1, 30.0, 25.0, packet_rate=4.0).send_times()
-    assert len(times) == 100
+    session = CbrSession(0, 1, 30.0, 25.0, packet_rate=4.0)
+    times = [session.send_time(k) for k in range(100)]
+    assert session.send_time(100) is None
     assert times[0] == 30.0
     assert times[-1] == 54.75
     assert all(b - a == pytest.approx(0.25) for a, b in zip(times, times[1:]))
 
 
 def test_cbr_single_packet_window():
-    assert CbrSession(0, 1, 35.0, 0.25).send_times() == [35.0]
+    session = CbrSession(0, 1, 35.0, 0.25)
+    assert session.send_time(0) == 35.0
+    assert session.send_time(1) is None
 
 
 def test_radio_mac_validation():
