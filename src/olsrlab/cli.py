@@ -61,8 +61,7 @@ def _resolve_scenario(name: str) -> scenario_mod.ScenarioSpec:
 def _resolve_config(name: str) -> tuple[str, OlsrConfig]:
     named = configs_mod.named_configs()
     if name in named:
-        entry = named[name]
-        return entry.label, entry.config
+        return name, named[name]
     if os.path.exists(name):
         with open(name) as fh:
             doc = json.load(fh)
@@ -119,8 +118,13 @@ def _campaign_records(records_dir: str) -> dict[str, list[RunRecord]]:
     for name in sorted(os.listdir(records_dir)):
         if not name.endswith(".run"):
             continue
-        with open(os.path.join(records_dir, name)) as fh:
-            record = RunRecord.from_text(fh.read())
+        path = os.path.join(records_dir, name)
+        with open(path) as fh:
+            text = fh.read()
+        try:
+            record = RunRecord.from_text(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         by_alg.setdefault(record.algorithm, []).append(record)
     for records in by_alg.values():
         records.sort(key=lambda r: r.seed)

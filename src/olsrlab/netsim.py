@@ -236,7 +236,7 @@ class Simulator:
     def _on_periodic_emit(self, node_id: int, _payload) -> None:
         node = self.nodes[node_id]
         node.state.purge_expired(self.now)
-        messages, _next = node.state.emit_periodic(self.now, self.rng)
+        messages = node.state.emit_periodic(self.now, self.rng)
         for msg in messages:
             self._enqueue(node, Frame(msg, node_id, None, msg.size_bytes))
             if self._event_log is not None:

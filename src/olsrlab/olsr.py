@@ -104,8 +104,9 @@ class ControlMessage:
     A message is immutable and one transmission reaches every neighbor in
     range, so the views each receiver needs (``listed``, ``mpr_listed``,
     ``symmetric_listed``) are parsed from the payload on first use and
-    cached on the message.  A forwarded copy parses afresh.  A node listed
-    more than once counts under every code it is listed with.
+    cached on the message.  Each is a bit mask, bit n for node n, like every
+    neighbor set in this module.  A forwarded copy parses afresh.  A node
+    listed more than once counts under every code it is listed with.
 
     The header's hop count is not modelled: nothing reads it, so a
     forwarded copy only spends TTL.  Its bytes stay in ``MSG_HEADER_BYTES``.
@@ -129,29 +130,21 @@ class ControlMessage:
                               self.validity_time, self.ttl - 1, self.willingness)
 
     @cached_property
-    def listed(self) -> frozenset:
+    def listed(self) -> int:
         """Every node id in the payload, whatever its link code."""
         if self.kind == HELLO:
-            return frozenset(nbr for nbr, _ in self.payload)
-        return frozenset(self.payload)
+            return _mask(nbr for nbr, _ in self.payload)
+        return _mask(self.payload)
 
     @cached_property
-    def mpr_listed(self) -> frozenset:
+    def mpr_listed(self) -> int:
         """HELLO: the neighbors listed as chosen relays."""
-        return frozenset(nbr for nbr, code in self.payload if code == LINK_MPR)
+        return _mask(nbr for nbr, code in self.payload if code == LINK_MPR)
 
     @cached_property
-    def symmetric_listed(self) -> frozenset:
+    def symmetric_listed(self) -> int:
         """HELLO: the neighbors listed over a symmetric link, relays included."""
-        return frozenset(nbr for nbr, code in self.payload if code in (LINK_SYM, LINK_MPR))
-
-    @cached_property
-    def symmetric_mask(self) -> int:
-        """HELLO: ``symmetric_listed`` as a bit mask (bit n for node n)."""
-        mask = 0
-        for nbr in self.symmetric_listed:
-            mask |= 1 << nbr
-        return mask
+        return _mask(nbr for nbr, code in self.payload if code in (LINK_SYM, LINK_MPR))
 
 
 class MprSelection(NamedTuple):
@@ -233,6 +226,14 @@ def _ids(mask: int):
         mask ^= low
 
 
+def _mask(ids) -> int:
+    """The bit mask with bit n set for each node id n in ``ids``."""
+    mask = 0
+    for n in ids:
+        mask |= 1 << n
+    return mask
+
+
 class _Link(NamedTuple):
     status: str  # LINK_ASYM or LINK_SYM
     expiry: float
@@ -242,31 +243,32 @@ class _Link(NamedTuple):
 class NodeState:
     """Per-node protocol state plus the transition rules that mutate it.
 
-    Each event costs work in proportion to what it changed:
+    Every neighbor set is a bit mask, bit n for node n, so node ids are
+    non-negative, as a scenario's 0..n-1 are.  Each event costs work in
+    proportion to what it changed:
 
     * ``_next_expiry`` is a lower bound on every stored expiry; every write
       of an expiry lowers it.  :meth:`purge_expired` returns at once while
       ``now`` has not passed it, and after a sweep sets it to the earliest
       expiry left.
-    * ``two_hop`` and ``topology`` hold one bucket per advertising node,
-      with one expiry for the whole bucket, because one message writes
-      every entry of it with the same validity.  A HELLO or a fresh TC
-      replaces one bucket, and the sweep visits buckets, not entries.
-    * ``duplicates`` is inserted in expiry order, so the sweep drops its
+    * ``two_hop`` and ``topology`` hold one bucket per advertising node:
+      the mask of the nodes it advertises, with one expiry for the whole
+      bucket, because one message writes every entry of it with the same
+      validity.  A HELLO or a fresh TC replaces one bucket, and the sweep
+      visits buckets, not entries.  A HELLO's lists are parsed into masks
+      once for all its receivers (``ControlMessage.symmetric_listed``), so
+      a HELLO whose sender's bucket is unchanged costs one integer
+      comparison.
+    * ``duplicates`` maps the (originator, seq) of every TC we forwarded to
+      its expiry.  It is inserted in expiry order, so the sweep drops its
       expired entries from the front.
-    * ``_two_hop_masks`` holds each bucket's targets as a bit mask (bit n
-      for node n, so node ids are non-negative, as a scenario's 0..n-1
-      are).  A HELLO's symmetric list is parsed into a mask once for all
-      its receivers (``ControlMessage.symmetric_mask``), so a HELLO whose
-      sender's bucket is unchanged costs one integer comparison and builds
-      no set.
     * ``_two_hop_vias`` is the transpose of ``two_hop``: it maps every
-      target some bucket lists to the bit mask of the neighbors whose
-      buckets list it, and it holds no zero mask.  It changes only where a
-      bucket's membership does: a HELLO that changes a bucket builds the
-      new bucket and flips the sender's bit for each target in the XOR of
-      the old and new masks.  :meth:`strict_two_hop` reads the index, at
-      O(links + two-hop targets), not O(sum of bucket sizes).
+      target some bucket lists to the mask of the neighbors whose buckets
+      list it, and it holds no zero mask.  It changes only where a
+      bucket's membership does: a HELLO that changes a bucket flips the
+      sender's bit for each target in the XOR of the old and new masks.
+      :meth:`strict_two_hop` reads the index, at O(links + two-hop
+      targets), not O(sum of bucket sizes).
     * The MPR set is a pure function of the symmetric links and the
       two-hop set.  A change to either marks it stale, and it is selected
       again when next read (``mprs``, ``uncoverable``).
@@ -287,25 +289,24 @@ class NodeState:
         self.config = config
         # neighbor id -> _Link
         self.links: dict[int, _Link] = {}
-        # advertising neighbor -> (targets, expiry); no bucket is empty
-        self.two_hop: dict[int, tuple[frozenset, float]] = {}
-        # advertising neighbor -> bit mask of its bucket's targets
-        self._two_hop_masks: dict[int, int] = {}
-        # the transpose of two_hop: target -> bit mask of the neighbors
-        # whose bucket lists it (bit n for node n); no mask is zero
+        # advertising neighbor -> (targets mask, expiry); no mask is zero
+        self.two_hop: dict[int, tuple[int, float]] = {}
+        # the transpose of two_hop: target -> mask of the neighbors whose
+        # bucket lists it; no mask is zero
         self._two_hop_vias: dict[int, int] = {}
         # the MPR selection; None until made, and again once links or
         # two-hop entries change
         self._selection: MprSelection | None = None
         # neighbor id -> expiry
         self.mpr_selectors: dict[int, float] = {}
-        # last hop (TC originator) -> (destinations, seq, expiry); no
-        # bucket is empty
-        self.topology: dict[int, tuple[frozenset, int, float]] = {}
+        # last hop (TC originator) -> (destinations mask, seq, expiry); no
+        # mask is zero
+        self.topology: dict[int, tuple[int, int, float]] = {}
         # highest sequence number seen per TC originator
         self._topo_seq: dict[int, int] = {}
-        # (originator, kind, seq) -> expiry, nondecreasing in insertion order
-        self.duplicates: dict[tuple[int, str, int], float] = {}
+        # (originator, seq) of a forwarded TC -> expiry, nondecreasing in
+        # insertion order
+        self.duplicates: dict[tuple[int, int], float] = {}
         # no stored tuple expires before this time
         self._next_expiry = math.inf
         # destination -> (next hop, hop count), valid unless _routing_stale
@@ -340,11 +341,13 @@ class NodeState:
         return cover
 
     @property
-    def mprs(self) -> frozenset:
+    def mprs(self):
+        """The selected relays, ``MprSelection.mprs``."""
         return self._mpr_selection().mprs
 
     @property
-    def uncoverable(self) -> frozenset:
+    def uncoverable(self):
+        """The strict two-hop targets no willing neighbor reaches."""
         return self._mpr_selection().uncoverable
 
     @property
@@ -381,7 +384,7 @@ class NodeState:
 
         if self._apply_tc(msg, now):
             self._routing_stale = True
-        key = (msg.originator, msg.kind, msg.seq)
+        key = (msg.originator, msg.seq)
         if key in self.duplicates or msg.ttl <= 1 or sender not in self.mpr_selectors:
             return False
         expiry = now + self.config.dup_hold_time
@@ -393,7 +396,7 @@ class NodeState:
         """Return whether the links and whether the two-hop set changed membership."""
         expiry = now + msg.validity_time
         # the sender is symmetric while it lists us, one-way otherwise
-        status = LINK_SYM if self.self_id in msg.listed else LINK_ASYM
+        status = LINK_SYM if msg.listed >> self.self_id & 1 else LINK_ASYM
         will = msg.willingness if msg.willingness is not None else WILL_DEFAULT
         old = self.links.get(sender)
         links_changed = old is None or old.status != status or old.willingness != will
@@ -401,22 +404,18 @@ class NodeState:
         self.links[sender] = _Link(status, link_expiry, will)
 
         # two-hop entries come from the sender's symmetric links only: the
-        # bucket is the listed set less us, compared as one bit mask
-        mask = msg.symmetric_mask & ~(1 << self.self_id)
-        old_mask = self._two_hop_masks.get(sender, 0)
+        # bucket is the listed mask less us
+        mask = msg.symmetric_listed & ~(1 << self.self_id)
+        old_mask = self.two_hop.get(sender, (0, None))[0]
         two_hop_changed = mask != old_mask
         if two_hop_changed:
             self._reindex(sender, old_mask ^ mask)
-            if mask:
-                self._two_hop_masks[sender] = mask
-                self.two_hop[sender] = (msg.symmetric_listed - {self.self_id}, expiry)
-            else:
-                del self._two_hop_masks[sender]
-                del self.two_hop[sender]
-        elif mask:
-            self.two_hop[sender] = (self.two_hop[sender][0], expiry)
+        if mask:
+            self.two_hop[sender] = (mask, expiry)
+        elif old_mask:
+            del self.two_hop[sender]
 
-        if self.self_id in msg.mpr_listed:
+        if msg.mpr_listed >> self.self_id & 1:
             self.mpr_selectors[sender] = expiry
         self._next_expiry = min(self._next_expiry, link_expiry, expiry)
         return links_changed, two_hop_changed
@@ -428,8 +427,8 @@ class NodeState:
         if last is not None and msg.seq <= last:
             return False  # stale or replayed advertisement
         self._topo_seq[origin] = msg.seq
-        old_dests, _, _ = self.topology.pop(origin, (frozenset(), None, None))
-        dests = msg.listed - {self.self_id}
+        old_dests = self.topology.pop(origin, (0, None, None))[0]
+        dests = msg.listed & ~(1 << self.self_id)
         if dests:
             expiry = now + msg.validity_time
             self.topology[origin] = (dests, msg.seq, expiry)
@@ -441,9 +440,9 @@ class NodeState:
     def emit_periodic(self, now: float, rng=None):
         """Build every message due at ``now`` and advance its schedule.
 
-        Returns (messages, next emission times by kind).  Emission times
-        step by the configured interval minus a uniform jitter in
-        [0, interval/4) when an rng is supplied.  A TC is withheld while
+        Returns the messages; :meth:`next_emission` gives the next time.
+        Emission times step by the configured interval minus a uniform
+        jitter in [0, interval/4) when an rng is supplied.  A TC is withheld while
         nobody selects us as relay, but the schedule keeps ticking.
         """
         messages = []
@@ -455,7 +454,7 @@ class NodeState:
             self._next_emit[TC] = now + cfg.tc_interval - _jitter(rng, cfg.tc_interval)
             if self.mpr_selectors:
                 messages.append(self._make_tc())
-        return messages, dict(self._next_emit)
+        return messages
 
     def next_emission(self) -> float:
         return min(self._next_emit.values())
@@ -508,13 +507,11 @@ class NodeState:
         dead_links = [n for n, l in self.links.items() if l.expiry < now]
         for nbr in dead_links:
             del self.links[nbr]
-            if self.two_hop.pop(nbr, None) is not None:
-                self._reindex(nbr, self._two_hop_masks.pop(nbr))
+            self._reindex(nbr, self.two_hop.pop(nbr, (0, None))[0])
             self.mpr_selectors.pop(nbr, None)
         dead_two_hop = [via for via, (_, exp) in self.two_hop.items() if exp < now]
         for via in dead_two_hop:
-            del self.two_hop[via]
-            self._reindex(via, self._two_hop_masks.pop(via))
+            self._reindex(via, self.two_hop.pop(via)[0])
         dead_topology = [last for last, (_, _, exp) in self.topology.items() if exp < now]
         for last in dead_topology:
             del self.topology[last]
@@ -566,34 +563,32 @@ def compute_routing_table(state: NodeState) -> dict[int, tuple[int, int]]:
     Returns destination -> (next hop, hop count).  Every next hop is a
     symmetric one-hop neighbor.  Among equal-length paths the lowest
     next-hop id wins; table iteration order is by destination id.
+
+    The search keeps each frontier in nondecreasing next-hop order, so the
+    first frontier node to reach a destination offers the lowest next hop.
     """
     sym = sorted(state.symmetric_neighbors())
-    adj = state.topology
-
-    dist = {state.self_id: 0}
-    via: dict[int, int] = {}
-    for n in sym:
-        dist[n] = 1
-        via[n] = n
-    frontier = list(sym)
+    topology = state.topology
+    reached = _mask(sym) | 1 << state.self_id
+    table = {n: (n, 1) for n in sym}
+    frontier = sym
     hops = 1
     while frontier:
-        layer: dict[int, int] = {}
-        for u in frontier:
-            if u not in adj:
-                continue
-            for v in adj[u][0]:
-                if v in dist:
-                    continue
-                cand = via[u]
-                if v not in layer or cand < layer[v]:
-                    layer[v] = cand
         hops += 1
-        for v, nh in layer.items():
-            dist[v] = hops
-            via[v] = nh
-        frontier = list(layer)
-    return {d: (via[d], dist[d]) for d in sorted(dist) if d != state.self_id}
+        layer = []
+        for u in frontier:
+            bucket = topology.get(u)
+            if bucket is None:
+                continue
+            fresh = bucket[0] & ~reached
+            if fresh:
+                reached |= fresh
+                entry = (table[u][0], hops)
+                for v in _ids(fresh):
+                    table[v] = entry
+                    layer.append(v)
+        frontier = layer
+    return {d: table[d] for d in sorted(table)}
 
 
 def _drop_expired(table: dict, now: float) -> bool:

@@ -139,34 +139,37 @@ class RunRecord:
     @classmethod
     def from_text(cls, text: str) -> "RunRecord":
         """Parse :meth:`to_text` output; the ``best_seed`` key that older
-        records carry is ignored."""
+        records carry is ignored.  Any other text raises ValueError."""
         lines = text.strip().splitlines()
         if not lines or lines[0] != RUN_FORMAT:
             raise ValueError(f"unsupported run record format: {lines[:1]!r}")
-        header = json.loads(lines[1])
-        summary = json.loads(lines[-1])
-        trajectory = []
-        for line in lines[2:-1]:
-            parts = line.split()
-            trajectory.append(
-                (int(parts[0]), float(parts[1]), tuple(float(p) for p in parts[2:]))
+        try:
+            header = json.loads(lines[1])
+            summary = json.loads(lines[-1])
+            trajectory = []
+            for line in lines[2:-1]:
+                parts = line.split()
+                trajectory.append(
+                    (int(parts[0]), float(parts[1]), tuple(float(p) for p in parts[2:]))
+                )
+            metrics = summary.get("best_metrics")
+            best = Evaluation(
+                config=OlsrConfig(**summary["best_config"]),
+                metrics=QosMetrics(**metrics) if metrics is not None else None,
+                cost=summary["best_cost"],
+                wall_time=summary.get("best_wall_time", 0.0),
             )
-        metrics = summary.get("best_metrics")
-        best = Evaluation(
-            config=OlsrConfig(**summary["best_config"]),
-            metrics=QosMetrics(**metrics) if metrics is not None else None,
-            cost=summary["best_cost"],
-            wall_time=summary.get("best_wall_time", 0.0),
-        )
-        return cls(
-            algorithm=header["algorithm"],
-            seed=header["seed"],
-            trajectory=trajectory,
-            best=best,
-            best_index=summary["best_index"],
-            time_to_best=summary.get("time_to_best", 0.0),
-            total_time=summary.get("total_time", 0.0),
-        )
+            return cls(
+                algorithm=header["algorithm"],
+                seed=header["seed"],
+                trajectory=trajectory,
+                best=best,
+                best_index=summary["best_index"],
+                time_to_best=summary.get("time_to_best", 0.0),
+                total_time=summary.get("total_time", 0.0),
+            )
+        except (IndexError, KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed run record: {type(exc).__name__}: {exc}") from None
 
 
 # -- budget bookkeeping ----------------------------------------------------

@@ -28,6 +28,17 @@ from olsrlab.olsr import (
 INF = math.inf
 
 
+def bits(mask):
+    """The node ids set in a bit mask (bit n for node n), ascending."""
+    ids = []
+    n = 0
+    while mask >> n:
+        if mask >> n & 1:
+            ids.append(n)
+        n += 1
+    return ids
+
+
 # ---------------------------------------------------------------------------
 # relay selection: exhaustive minimum cover
 # ---------------------------------------------------------------------------
@@ -156,18 +167,13 @@ def position_at(points, time: float) -> tuple[float, float]:
 # routing: breadth-first search over the link state graph
 # ---------------------------------------------------------------------------
 
-def bfs_hops(state):
-    """Reference distances over symmetric links plus advertised edges."""
-    sym = sorted(n for n, l in state.links.items() if l.status == LINK_SYM)
-    adj = {}
-    for last, (dests, _, _) in state.topology.items():
-        for dest in dests:
-            adj.setdefault(last, set()).add(dest)
-    dist = {state.self_id: 0}
-    frontier = []
-    for n in sym:
-        dist[n] = 1
-        frontier.append(n)
+def topology_edges(state):
+    """Advertised edges as last hop -> set of destinations."""
+    return {last: set(bits(dests)) for last, (dests, _, _) in state.topology.items()}
+
+
+def _bfs(adj, dist, frontier):
+    """Extend ``dist`` (node -> hops) along ``adj`` edges from ``frontier``."""
     while frontier:
         nxt = []
         for u in frontier:
@@ -176,7 +182,29 @@ def bfs_hops(state):
                     dist[v] = dist[u] + 1
                     nxt.append(v)
         frontier = nxt
+    return dist
+
+
+def bfs_hops(state):
+    """Reference distances over symmetric links plus advertised edges."""
+    sym = sorted(n for n, l in state.links.items() if l.status == LINK_SYM)
+    dist = _bfs(topology_edges(state), {state.self_id: 0, **dict.fromkeys(sym, 1)}, sym)
     return {d: h for d, h in dist.items() if d != state.self_id}, set(sym)
+
+
+def reference_next_hops(state):
+    """Destination at two or more hops -> the next hop a router must pick.
+
+    Among all shortest paths, the lowest next hop: the lowest symmetric
+    neighbor whose distance to the destination over advertised edges alone
+    is one less than the destination's.
+    """
+    hops, sym = bfs_hops(state)
+    adj = topology_edges(state)
+    # no advertised edge enters the node itself, so no path returns there
+    from_neighbor = {n: _bfs(adj, {n: 0}, [n]) for n in sym}
+    return {dest: min(n for n in sym if from_neighbor[n].get(dest) == d - 1)
+            for dest, d in hops.items() if d >= 2}
 
 
 def random_snapshot(rng: random.Random):
@@ -194,7 +222,7 @@ def random_snapshot(rng: random.Random):
         if dest != last:
             edges.setdefault(last, set()).add(dest)
     for last, dests in edges.items():
-        state.topology[last] = (frozenset(dests), 1, INF)
+        state.topology[last] = (sum(1 << d for d in dests), 1, INF)
     return state
 
 

@@ -188,7 +188,7 @@ def test_criterion_9_silenced_node_expires_everywhere():
             for node in nodes.values():
                 if node.next_emission() > t:
                     continue
-                msgs, _ = node.emit_periodic(t, rng)
+                msgs = node.emit_periodic(t, rng)
                 if node.self_id == 1 and t > silence_at:
                     continue  # radio off: schedule advances, nothing is heard
                 for msg in msgs:

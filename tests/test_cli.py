@@ -216,6 +216,35 @@ def test_optimize_resumes_only_the_missing_run(tmp_path, capsys):
     assert redone.to_text(include_timing=False) == original.to_text(include_timing=False)
 
 
+def _without_best_config(text):
+    lines = text.splitlines()
+    summary = json.loads(lines[-1])
+    del summary["best_config"]
+    return "\n".join(lines[:-1] + [json.dumps(summary)]) + "\n"
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda text: text.splitlines()[0] + "\n",
+    _without_best_config,
+    lambda text: "\n".join(text.splitlines()[:-1] + ["[]"]) + "\n",
+], ids=["header-only", "no-best-config", "summary-not-an-object"])
+@pytest.mark.parametrize("command", ["report", "optimize"])
+def test_a_malformed_record_is_an_error_naming_its_file(tmp_path, capsys, corrupt, command):
+    outdir = tmp_path / "camp"
+    run_tiny_campaign(outdir)
+    victim = outdir / "records" / "SA-seed000001.run"
+    victim.write_text(corrupt(read(victim)))
+    capsys.readouterr()
+    if command == "report":
+        rc = main(["report", "--records", str(outdir / "records"),
+                   "--outdir", str(tmp_path / "rep")])
+    else:
+        rc = run_tiny_campaign(outdir)  # resume: every record exists
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(victim) in err
+
+
 @pytest.mark.parametrize("flags,keys", [
     (["--objective", "rastrigin", "--budget", "50"], ["objective", "budget"]),
     (["--objective", "sphere", "--budget", "5", "--population", "4"], ["population"]),

@@ -16,6 +16,7 @@ from olsrlab.netsim import (
     collect_metrics,
     run_simulation,
 )
+from olsrlab.configs import named_configs
 from olsrlab.olsr import NodeState, OlsrConfig
 from olsrlab.scenario import (
     CANDIDATE_SLOT,
@@ -332,6 +333,14 @@ def test_mid_timing_has_no_effect_on_single_interface_nodes(refresh, mid_hold):
     spec = catalog()["congested-small"]
     inert = OlsrConfig(refresh_interval=refresh, mid_hold_time=mid_hold)
     assert run_simulation(spec, inert, 1) == run_simulation(spec, OlsrConfig(), 1)
+
+
+@pytest.mark.parametrize("label", sorted(named_configs()))
+def test_every_bundled_config_simulates_the_smoke_scenario(label):
+    # a bundled config is validated only when a simulation runs it
+    m = run_simulation(catalog()["static-mesh-smoke"], named_configs()[label], 1)
+    assert m.data_sent == m.data_delivered + m.data_dropped + m.data_in_flight
+    assert m.pdr == 1.0 and m.routing_tx > 0
 
 
 @pytest.mark.parametrize("name,expected", [

@@ -29,11 +29,13 @@ from olsrlab.olsr import (
 from oracles import (
     INF,
     bfs_hops,
+    bits,
     brute_minimum_cover,
     cover_map,
     coverage_sets,
     random_neighborhood,
     random_snapshot,
+    reference_next_hops,
     reference_select_mprs,
 )
 
@@ -49,12 +51,14 @@ def tc(origin, selectors, *, seq=1, validity=15.0, ttl=CONTROL_TTL):
 
 def two_hop_pairs(state):
     """The two-hop set as (via neighbor, target) pairs."""
-    return {(via, target) for via, (targets, _) in state.two_hop.items() for target in targets}
+    return {(via, target) for via, (targets, _) in state.two_hop.items()
+            for target in bits(targets)}
 
 
 def topology_pairs(state):
     """The topology set as (destination, last hop) pairs."""
-    return {(dest, last) for last, (dests, _, _) in state.topology.items() for dest in dests}
+    return {(dest, last) for last, (dests, _, _) in state.topology.items()
+            for dest in bits(dests)}
 
 
 def test_select_mprs_worked_example():
@@ -168,7 +172,7 @@ def test_hello_link_expiry_uses_receiver_hold_time():
     state = NodeState(1, OlsrConfig(neighb_hold_time=6.0))
     state.process_message(hello(2, [(1, LINK_SYM), (7, LINK_SYM)], validity=99.0), 2, 10.0)
     assert state.links[2].expiry == 16.0
-    assert state.two_hop[2] == (frozenset({7}), 109.0)
+    assert state.two_hop[2] == (1 << 7, 109.0)
 
 
 def test_hello_two_hop_set_tracks_senders_symmetric_links():
@@ -265,7 +269,7 @@ def test_tc_topology_replacement_and_stale_rejection():
     # higher seq replaces the originator's advertisement wholesale
     state.process_message(tc(9, (6,), seq=6), 2, 3.0)
     assert topology_pairs(state) == {(6, 9)}
-    assert state.topology[9] == (frozenset({6}), 6, 3.0 + 15.0)
+    assert state.topology[9] == (1 << 6, 6, 3.0 + 15.0)
 
 
 def test_tc_skips_self_as_destination():
@@ -282,12 +286,12 @@ def test_tc_forwarded_only_once_and_only_for_selectors():
     msg = tc(9, (4,), seq=7)
     assert state.process_message(msg, 2, 1.0) is True     # 2 selected us
     assert state.process_message(msg, 2, 1.5) is False    # duplicate
-    assert (9, TC, 7) in state.duplicates
+    assert (9, 7) in state.duplicates
 
     fresh = tc(9, (4,), seq=8)
     assert state.process_message(fresh, 3, 2.0) is False  # 3 did not select us
     # not recorded as duplicate, so a later copy via a selector still relays
-    assert (9, TC, 8) not in state.duplicates
+    assert (9, 8) not in state.duplicates
     assert state.process_message(fresh, 2, 2.5) is True
 
 
@@ -321,24 +325,24 @@ def test_emission_schedule_without_jitter():
     assert state.next_emission() == 2.0
     out = []
     for t in (2.0, 4.0, 6.0):
-        messages, nxt = state.emit_periodic(t)
-        out.append((t, [m.kind for m in messages], nxt[HELLO]))
+        messages = state.emit_periodic(t)
+        out.append((t, [m.kind for m in messages], state._next_emit[HELLO]))
     assert out == [(2.0, [HELLO], 4.0), (4.0, [HELLO], 6.0), (6.0, [HELLO], 8.0)]
 
 
 def test_hello_sequence_numbers_increase():
     state = NodeState(1, OlsrConfig())
-    seqs = [state.emit_periodic(t)[0][0].seq for t in (2.0, 4.0, 6.0)]
+    seqs = [state.emit_periodic(t)[0].seq for t in (2.0, 4.0, 6.0)]
     assert seqs == [1, 2, 3]
 
 
 def test_tc_withheld_until_someone_selects_us():
     state = NodeState(1, OlsrConfig())
-    messages, nxt = state.emit_periodic(5.0)
+    messages = state.emit_periodic(5.0)
     assert [m.kind for m in messages] == [HELLO]   # TC due but suppressed
-    assert nxt[TC] == 10.0                         # schedule ticks anyway
+    assert state._next_emit[TC] == 10.0            # schedule ticks anyway
     state.process_message(hello(2, [(1, LINK_MPR)]), 2, 6.0)
-    messages, _ = state.emit_periodic(10.0)
+    messages = state.emit_periodic(10.0)
     kinds = {m.kind for m in messages}
     assert TC in kinds
     tc_msg = next(m for m in messages if m.kind == TC)
@@ -351,7 +355,7 @@ def test_hello_payload_is_sorted_with_mpr_codes():
     state = NodeState(1, OlsrConfig())
     state.process_message(hello(3, [(1, LINK_SYM), (9, LINK_SYM)]), 3, 0.0)
     state.process_message(hello(2, [(1, LINK_SYM)]), 2, 0.0)
-    msg = state.emit_periodic(2.0)[0][0]
+    msg = state.emit_periodic(2.0)[0]
     assert msg.kind == HELLO
     assert msg.payload == ((2, LINK_SYM), (3, LINK_MPR))
     assert msg.ttl == 1
@@ -402,10 +406,10 @@ def test_purge_drops_expired_topology_and_duplicates():
     state = NodeState(1, OlsrConfig())
     state.process_message(hello(2, [(1, LINK_MPR)], validity=100.0), 2, 0.0)
     state.process_message(tc(9, (4,), validity=15.0), 2, 1.0)   # topo expiry 16
-    assert (9, TC, 1) in state.duplicates                        # dup expiry 31
+    assert (9, 1) in state.duplicates                        # dup expiry 31
     assert state.purge_expired(20.0) is True
     assert not state.topology
-    assert (9, TC, 1) in state.duplicates
+    assert (9, 1) in state.duplicates
     assert state.purge_expired(40.0) is True
     assert not state.duplicates
 
@@ -427,19 +431,33 @@ def test_routing_matches_bfs_on_random_snapshots():
                 assert next_hop == dest
 
 
+def test_routing_next_hops_match_the_oracle_on_random_snapshots():
+    # with several equal-length paths the lowest next hop wins, whatever
+    # order the search visits the last hops in
+    rng = random.Random(2718)
+    far = 0
+    for _ in range(300):
+        state = random_snapshot(rng)
+        table = compute_routing_table(state)
+        expected = reference_next_hops(state)
+        assert {d: table[d][0] for d in expected} == expected
+        far += len(expected)
+    assert far > 1000
+
+
 def test_routing_prefers_lowest_next_hop_on_ties():
     state = NodeState(0, OlsrConfig())
     state.links[1] = _Link(LINK_SYM, INF, WILL_DEFAULT)
     state.links[2] = _Link(LINK_SYM, INF, WILL_DEFAULT)
-    state.topology[1] = (frozenset({5}), 1, INF)
-    state.topology[2] = (frozenset({5}), 1, INF)
+    state.topology[1] = (1 << 5, 1, INF)
+    state.topology[2] = (1 << 5, 1, INF)
     assert compute_routing_table(state)[5] == (1, 2)
 
 
 def test_routing_ignores_asymmetric_links():
     state = NodeState(0, OlsrConfig())
     state.links[1] = _Link(LINK_ASYM, INF, WILL_DEFAULT)
-    state.topology[1] = (frozenset({5}), 1, INF)
+    state.topology[1] = (1 << 5, 1, INF)
     assert compute_routing_table(state) == {}
 
 

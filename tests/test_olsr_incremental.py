@@ -24,7 +24,7 @@ from olsrlab.olsr import (
     select_mprs,
 )
 
-from oracles import bfs_hops, cover_map, coverage_sets, reference_select_mprs
+from oracles import bfs_hops, bits, cover_map, coverage_sets, reference_select_mprs
 
 SELF = 0
 NEIGHBORS = st.integers(min_value=1, max_value=3)  # may send us a HELLO
@@ -72,10 +72,10 @@ def expiries(state):
     """Every stored (table, key, expiry), read straight from the tables."""
     out = [("links", n, link.expiry) for n, link in state.links.items()]
     out += [("two_hop", (via, target), exp)
-            for via, (targets, exp) in state.two_hop.items() for target in targets]
+            for via, (targets, exp) in state.two_hop.items() for target in bits(targets)]
     out += [("mpr_selectors", n, exp) for n, exp in state.mpr_selectors.items()]
     out += [("topology", (dest, last), exp)
-            for last, (dests, _, exp) in state.topology.items() for dest in dests]
+            for last, (dests, _, exp) in state.topology.items() for dest in bits(dests)]
     out += [("duplicates", key, exp) for key, exp in state.duplicates.items()]
     return out
 
@@ -84,19 +84,17 @@ def check_derived_tables(state):
     # buckets are never empty, never list us, and a topology bucket holds
     # the originator's latest sequence number
     for targets, _ in state.two_hop.values():
-        assert targets and SELF not in targets
+        assert targets and SELF not in bits(targets)
     for last, (dests, seq, _) in state.topology.items():
-        assert dests and SELF not in dests
+        assert dests and SELF not in bits(dests)
         assert seq == state._topo_seq[last]
     # the expiry sweep drops duplicates from the front
     dup_expiries = list(state.duplicates.values())
     assert dup_expiries == sorted(dup_expiries)
 
-    # each bucket's mask holds its targets, and the two-hop index is the
-    # transpose of the buckets
-    assert state._two_hop_masks == {via: sum(1 << target for target in targets)
-                                    for via, (targets, _) in state.two_hop.items()}
-    pairs = {(via, target) for via, (targets, _) in state.two_hop.items() for target in targets}
+    # the two-hop index is the transpose of the buckets
+    pairs = {(via, target) for via, (targets, _) in state.two_hop.items()
+             for target in bits(targets)}
     assert state._two_hop_vias == cover_map(pairs)
 
     will = state.symmetric_neighbors()
@@ -141,7 +139,7 @@ def test_incremental_core_matches_recomputation(config, profile, plan):
             state.process_message(msg, sender, now)
             # the sender's bucket now holds exactly its symmetric links but us
             listed = {n for n, code in msg.payload if code != LINK_ASYM} - {SELF}
-            assert state.two_hop.get(sender, (frozenset(), None))[0] == listed
+            assert set(bits(state.two_hop.get(sender, (0, None))[0])) == listed
         else:
             sender, origin, selectors, seq, ttl = step
             validity = profile[origin][2]
