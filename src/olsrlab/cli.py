@@ -216,7 +216,8 @@ def _check_same_campaign(path: str, manifest: dict) -> dict | None:
 
 
 def cmd_optimize(args) -> int:
-    algorithms = [a.strip().upper() for a in args.algorithms.split(",")]
+    # repeats dropped in first-named order, as the union on resume drops them
+    algorithms = list(dict.fromkeys(a.strip().upper() for a in args.algorithms.split(",")))
     for a in algorithms:
         if a not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {a!r}; pick from {', '.join(ALGORITHMS)}")
@@ -304,6 +305,10 @@ def cmd_compare(args) -> int:
         entries.extend(_best_configs_from_records(args.runs_dir))
     if not entries:
         raise ValueError("nothing to compare: pass --configs and/or --runs-dir")
+    labels = [label for label, _ in entries]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ValueError(f"config label named more than once: {', '.join(repeated)}")
     scenarios = [_resolve_scenario(n.strip()) for n in args.scenarios.split(",")]
     seeds = [args.base_seed + i for i in range(args.seeds)]
 
@@ -386,6 +391,13 @@ def cmd_report(args) -> int:
 
 # -- entry point ---------------------------------------------------------------
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="olsrlab",
@@ -405,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", help="required for the sim objective")
     p.add_argument("--objective", default="sim", choices=["sim", "sphere", "rastrigin"])
     p.add_argument("--algorithms", default=",".join(ALGORITHMS))
-    p.add_argument("--runs", type=int, default=30)
+    p.add_argument("--runs", type=positive_int, default=30)
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--population", type=int, default=10)
     p.add_argument("--base-seed", type=int, default=1)
@@ -418,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--configs", help="comma-separated labels or config JSON paths")
     p.add_argument("--runs-dir", help="records directory; adds each algorithm's best config")
     p.add_argument("--scenarios", required=True, help="comma-separated names or paths")
-    p.add_argument("--seeds", type=int, default=5, help="simulation seeds per cell")
+    p.add_argument("--seeds", type=positive_int, default=5, help="simulation seeds per cell")
     p.add_argument("--base-seed", type=int, default=1)
     p.add_argument("--outdir", default=_default_outdir())
     p.set_defaults(func=cmd_compare)

@@ -18,17 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import NamedTuple
 
 HELLO = "HELLO"
 TC = "TC"
 MESSAGE_KINDS = (HELLO, TC)
-
-# Link codes carried in HELLO payload entries.
-LINK_ASYM = "asym"
-LINK_SYM = "sym"
-LINK_MPR = "mpr"  # symmetric link whose endpoint was chosen as MPR
 
 WILL_NEVER = 0
 WILL_DEFAULT = 3
@@ -97,16 +91,14 @@ class OlsrConfig:
 class ControlMessage:
     """One routing control message.
 
-    payload layout by kind:
-      HELLO -- tuple of (neighbor id, link code) pairs, plus ``willingness``
-      TC    -- tuple of MPR-selector node ids
-
-    A message is immutable and one transmission reaches every neighbor in
-    range, so the views each receiver needs (``listed``, ``mpr_listed``,
-    ``symmetric_listed``) are parsed from the payload on first use and
-    cached on the message.  Each is a bit mask, bit n for node n, like every
-    neighbor set in this module.  A forwarded copy parses afresh.  A node
-    listed more than once counts under every code it is listed with.
+    Its lists are bit masks, bit n for node n, like every neighbor set in
+    this module, and the sender builds them once for every receiver:
+      HELLO -- ``listed``: every link, whatever its state;
+               ``symmetric_listed``: the symmetric links, relays included;
+               ``mpr_listed``: the chosen relays; plus ``willingness``.
+               So ``mpr_listed`` lies within ``symmetric_listed``, which
+               lies within ``listed``, and a node is listed at most once.
+      TC    -- ``listed``: the MPR selectors; the other two masks are 0.
 
     The header's hop count is not modelled: nothing reads it, so a
     forwarded copy only spends TTL.  Its bytes stay in ``MSG_HEADER_BYTES``.
@@ -115,36 +107,22 @@ class ControlMessage:
     kind: str
     originator: int
     seq: int
-    payload: tuple
     validity_time: float
     ttl: int
+    listed: int
+    symmetric_listed: int = 0
+    mpr_listed: int = 0
     willingness: int | None = None
 
     @property
     def size_bytes(self) -> int:
-        # fixed header plus one address-sized entry per payload element
-        return MSG_HEADER_BYTES + MSG_ENTRY_BYTES * len(self.payload)
+        # fixed header plus one address-sized entry per listed node
+        return MSG_HEADER_BYTES + MSG_ENTRY_BYTES * self.listed.bit_count()
 
     def forwarded_copy(self) -> "ControlMessage":
-        return ControlMessage(self.kind, self.originator, self.seq, self.payload,
-                              self.validity_time, self.ttl - 1, self.willingness)
-
-    @cached_property
-    def listed(self) -> int:
-        """Every node id in the payload, whatever its link code."""
-        if self.kind == HELLO:
-            return _mask(nbr for nbr, _ in self.payload)
-        return _mask(self.payload)
-
-    @cached_property
-    def mpr_listed(self) -> int:
-        """HELLO: the neighbors listed as chosen relays."""
-        return _mask(nbr for nbr, code in self.payload if code == LINK_MPR)
-
-    @cached_property
-    def symmetric_listed(self) -> int:
-        """HELLO: the neighbors listed over a symmetric link, relays included."""
-        return _mask(nbr for nbr, code in self.payload if code in (LINK_SYM, LINK_MPR))
+        return ControlMessage(self.kind, self.originator, self.seq, self.validity_time,
+                              self.ttl - 1, self.listed, self.symmetric_listed,
+                              self.mpr_listed, self.willingness)
 
 
 class MprSelection(NamedTuple):
@@ -235,7 +213,6 @@ def _mask(ids) -> int:
 
 
 class _Link(NamedTuple):
-    status: str  # LINK_ASYM or LINK_SYM
     expiry: float
     willingness: int
 
@@ -244,8 +221,11 @@ class NodeState:
     """Per-node protocol state plus the transition rules that mutate it.
 
     Every neighbor set is a bit mask, bit n for node n, so node ids are
-    non-negative, as a scenario's 0..n-1 are.  Each event costs work in
-    proportion to what it changed:
+    non-negative, as a scenario's 0..n-1 are.  ``symmetric`` is the mask of
+    the links whose sender's latest HELLO listed us; it lies within the
+    keys of ``links``, and only the two writers of ``links``
+    (:meth:`process_message` and :meth:`purge_expired`) change it.  Each
+    event costs work in proportion to what it changed:
 
     * ``_next_expiry`` is a lower bound on every stored expiry; every write
       of an expiry lowers it.  :meth:`purge_expired` returns at once while
@@ -255,10 +235,9 @@ class NodeState:
       the mask of the nodes it advertises, with one expiry for the whole
       bucket, because one message writes every entry of it with the same
       validity.  A HELLO or a fresh TC replaces one bucket, and the sweep
-      visits buckets, not entries.  A HELLO's lists are parsed into masks
-      once for all its receivers (``ControlMessage.symmetric_listed``), so
-      a HELLO whose sender's bucket is unchanged costs one integer
-      comparison.
+      visits buckets, not entries.  A HELLO carries its lists as masks
+      (``ControlMessage.symmetric_listed``), so a HELLO whose sender's
+      bucket is unchanged costs one integer comparison.
     * ``duplicates`` maps the (originator, seq) of every TC we forwarded to
       its expiry.  It is inserted in expiry order, so the sweep drops its
       expired entries from the front.
@@ -273,9 +252,9 @@ class NodeState:
       two-hop set.  A change to either marks it stale, and it is selected
       again when next read (``mprs``, ``uncoverable``).
     * The routing table depends on the symmetric links and the topology
-      only.  A link that appears, disappears or changes status or
-      willingness, or a topology bucket whose destinations change, marks
-      it stale, and reading ``routing`` recomputes it.
+      only.  A link that appears, disappears, turns symmetric or one-way or
+      changes willingness, or a topology bucket whose destinations change,
+      marks it stale, and reading ``routing`` recomputes it.
 
     Every call passes a time ``now`` that never decreases from one call to
     the next; the front drop of ``duplicates`` relies on it.  Expired
@@ -289,6 +268,8 @@ class NodeState:
         self.config = config
         # neighbor id -> _Link
         self.links: dict[int, _Link] = {}
+        # the links whose sender lists us; within the keys of links
+        self.symmetric = 0
         # advertising neighbor -> (targets mask, expiry); no mask is zero
         self.two_hop: dict[int, tuple[int, float]] = {}
         # the transpose of two_hop: target -> mask of the neighbors whose
@@ -321,8 +302,8 @@ class NodeState:
     # -- views ---------------------------------------------------------
 
     def symmetric_neighbors(self) -> dict[int, int]:
-        """Symmetric neighbor id -> advertised willingness."""
-        return {n: l.willingness for n, l in self.links.items() if l.status == LINK_SYM}
+        """Symmetric neighbor id -> advertised willingness, by ascending id."""
+        return {n: self.links[n].willingness for n in _ids(self.symmetric)}
 
     def strict_two_hop(self) -> dict[int, int]:
         """Strict two-hop target -> bit mask of the symmetric neighbors that reach it.
@@ -330,10 +311,7 @@ class NodeState:
         A strict target is no symmetric neighbor and not ourselves.  Reads
         the transposed index, so it costs O(links + two-hop targets).
         """
-        symmetric = 0
-        for n, link in self.links.items():
-            if link.status == LINK_SYM:
-                symmetric |= 1 << n
+        symmetric = self.symmetric
         cover = {}
         for target, vias in self._two_hop_vias.items():
             if vias & symmetric and not symmetric >> target & 1:
@@ -396,12 +374,16 @@ class NodeState:
         """Return whether the links and whether the two-hop set changed membership."""
         expiry = now + msg.validity_time
         # the sender is symmetric while it lists us, one-way otherwise
-        status = LINK_SYM if msg.listed >> self.self_id & 1 else LINK_ASYM
+        symmetric = self.symmetric
+        if msg.listed >> self.self_id & 1:
+            self.symmetric |= 1 << sender
+        else:
+            self.symmetric &= ~(1 << sender)
         will = msg.willingness if msg.willingness is not None else WILL_DEFAULT
         old = self.links.get(sender)
-        links_changed = old is None or old.status != status or old.willingness != will
+        links_changed = old is None or old.willingness != will or symmetric != self.symmetric
         link_expiry = now + self.config.neighb_hold_time
-        self.links[sender] = _Link(status, link_expiry, will)
+        self.links[sender] = _Link(link_expiry, will)
 
         # two-hop entries come from the sender's symmetric links only: the
         # bucket is the listed mask less us
@@ -467,16 +449,15 @@ class NodeState:
         return self._seq[kind]
 
     def _make_hello(self) -> ControlMessage:
-        mprs = self.mprs
-        entries = [(nbr, LINK_MPR if nbr in mprs else self.links[nbr].status)
-                   for nbr in sorted(self.links)]
         return ControlMessage(
             kind=HELLO,
             originator=self.self_id,
             seq=self._bump_seq(HELLO),
-            payload=tuple(entries),
             validity_time=self.config.neighb_hold_time,
             ttl=1,
+            listed=_mask(self.links),
+            symmetric_listed=self.symmetric,
+            mpr_listed=_mask(self.mprs),
             willingness=self.config.willingness,
         )
 
@@ -485,9 +466,9 @@ class NodeState:
             kind=TC,
             originator=self.self_id,
             seq=self._bump_seq(TC),
-            payload=tuple(sorted(self.mpr_selectors)),
             validity_time=self.config.top_hold_time,
             ttl=CONTROL_TTL,
+            listed=_mask(self.mpr_selectors),
         )
 
     # -- expiry ----------------------------------------------------------
@@ -507,6 +488,7 @@ class NodeState:
         dead_links = [n for n, l in self.links.items() if l.expiry < now]
         for nbr in dead_links:
             del self.links[nbr]
+            self.symmetric &= ~(1 << nbr)
             self._reindex(nbr, self.two_hop.pop(nbr, (0, None))[0])
             self.mpr_selectors.pop(nbr, None)
         dead_two_hop = [via for via, (_, exp) in self.two_hop.items() if exp < now]
@@ -567,9 +549,9 @@ def compute_routing_table(state: NodeState) -> dict[int, tuple[int, int]]:
     The search keeps each frontier in nondecreasing next-hop order, so the
     first frontier node to reach a destination offers the lowest next hop.
     """
-    sym = sorted(state.symmetric_neighbors())
+    sym = list(_ids(state.symmetric))
     topology = state.topology
-    reached = _mask(sym) | 1 << state.self_id
+    reached = state.symmetric | 1 << state.self_id
     table = {n: (n, 1) for n in sym}
     frontier = sym
     hops = 1

@@ -14,8 +14,6 @@ from collections import Counter
 import scipy.stats
 
 from olsrlab.olsr import (
-    LINK_ASYM,
-    LINK_SYM,
     WILL_ALWAYS,
     WILL_DEFAULT,
     WILL_NEVER,
@@ -187,7 +185,7 @@ def _bfs(adj, dist, frontier):
 
 def bfs_hops(state):
     """Reference distances over symmetric links plus advertised edges."""
-    sym = sorted(n for n, l in state.links.items() if l.status == LINK_SYM)
+    sym = bits(state.symmetric)
     dist = _bfs(topology_edges(state), {state.self_id: 0, **dict.fromkeys(sym, 1)}, sym)
     return {d: h for d, h in dist.items() if d != state.self_id}, set(sym)
 
@@ -212,10 +210,11 @@ def random_snapshot(rng: random.Random):
     state = NodeState(0, OlsrConfig())
     others = list(range(1, 20))
     for n in rng.sample(others, rng.randint(1, 6)):
-        state.links[n] = _Link(LINK_SYM, INF, WILL_DEFAULT)
+        state.links[n] = _Link(INF, WILL_DEFAULT)
+        state.symmetric |= 1 << n
     spare = [v for v in others if v not in state.links]
     for n in rng.sample(spare, rng.randint(0, 3)):
-        state.links[n] = _Link(LINK_ASYM, INF, WILL_DEFAULT)
+        state.links[n] = _Link(INF, WILL_DEFAULT)  # one-way: not in symmetric
     edges = {}
     for _ in range(rng.randint(5, 60)):
         dest, last = rng.randint(1, 19), rng.randint(0, 19)

@@ -376,6 +376,30 @@ def test_optimize_sim_objective_requires_a_scenario():
         main(["optimize", "--objective", "sim", "--runs", "1", "--budget", "3"])
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["optimize", "--objective", "sphere", "--runs", "0"], "--runs"),
+    (["optimize", "--objective", "sphere", "--runs", "-2"], "--runs"),
+    (["compare", "--configs", "rfc3626", "--scenarios", "static-mesh-smoke",
+      "--seeds", "0"], "--seeds"),
+], ids=["runs-0", "runs-negative", "seeds-0"])
+def test_a_count_below_one_is_refused_before_anything_is_written(tmp_path, capsys,
+                                                                  argv, flag):
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--outdir", str(outdir)])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_optimize_drops_a_repeated_algorithm(tmp_path, capsys):
+    outdir = tmp_path / "camp"
+    assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND,SA,rand",
+                 "--runs", "1", "--budget", "4", "--outdir", str(outdir)]) == 0
+    assert "campaign: 2 new runs, 2 total" in capsys.readouterr().out
+    assert json.loads(read(outdir / "campaign.json"))["algorithms"] == ["RAND", "SA"]
+
+
 def test_optimize_rejects_unknown_algorithms(tmp_path, capsys):
     rc = main(["optimize", "--objective", "sphere", "--algorithms", "CMAES",
                "--runs", "1", "--budget", "3", "--outdir", str(tmp_path / "x")])
@@ -422,6 +446,16 @@ def test_compare_can_pull_best_configs_from_a_campaign(tmp_path):
     assert rc == 0
     labels = {c["config"] for c in json.loads(read(outdir / "compare.json"))["cells"]}
     assert labels == {"best-rand", "best-sa"}
+
+
+def test_compare_refuses_a_repeated_config_label(tmp_path, capsys):
+    # a second copy would add an identical row and count twice in ALL
+    outdir = tmp_path / "cmp"
+    assert main(["compare", "--configs", "rfc3626,gomez-1,rfc3626",
+                 "--scenarios", "static-mesh-smoke", "--seeds", "1",
+                 "--outdir", str(outdir)]) == 2
+    assert "named more than once: rfc3626" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_compare_with_no_inputs_fails(tmp_path, capsys):

@@ -11,9 +11,6 @@ import pytest
 from olsrlab.olsr import (
     CONTROL_TTL,
     HELLO,
-    LINK_ASYM,
-    LINK_MPR,
-    LINK_SYM,
     TC,
     WILL_ALWAYS,
     WILL_DEFAULT,
@@ -40,13 +37,34 @@ from oracles import (
 )
 
 
-def hello(origin, entries, *, seq=1, validity=6.0, willingness=WILL_DEFAULT):
-    return ControlMessage(HELLO, origin, seq, tuple(entries), validity, 1,
-                          willingness=willingness)
+def mask(ids):
+    return sum(1 << n for n in set(ids))
+
+
+def hello(origin, asym=(), sym=(), mpr=(), *, seq=1, validity=6.0,
+          willingness=WILL_DEFAULT):
+    """A HELLO listing one-way links ``asym``, symmetric links ``sym`` and
+    relays ``mpr``, its masks unioned as a sender's: mpr within symmetric
+    within listed."""
+    mpr_listed = mask(mpr)
+    symmetric_listed = mask(sym) | mpr_listed
+    return ControlMessage(HELLO, origin, seq, validity, 1, mask(asym) | symmetric_listed,
+                          symmetric_listed, mpr_listed, willingness=willingness)
 
 
 def tc(origin, selectors, *, seq=1, validity=15.0, ttl=CONTROL_TTL):
-    return ControlMessage(TC, origin, seq, tuple(selectors), validity, ttl)
+    return ControlMessage(TC, origin, seq, validity, ttl, mask(selectors))
+
+
+def link(state, n, *, symmetric=True):
+    """Store a never-expiring link to ``n``, as a HELLO from it would."""
+    state.links[n] = _Link(INF, WILL_DEFAULT)
+    if symmetric:
+        state.symmetric |= 1 << n
+
+
+def is_symmetric(state, n):
+    return bool(state.symmetric >> n & 1)
 
 
 def two_hop_pairs(state):
@@ -156,68 +174,55 @@ def test_select_mprs_equals_the_reference_greedy():
 def test_hello_link_lifecycle_asym_sym_downgrade():
     state = NodeState(1, OlsrConfig())
     # neighbor 2 does not hear us yet
-    state.process_message(hello(2, []), 2, 10.0)
-    assert state.links[2].status == LINK_ASYM
+    state.process_message(hello(2), 2, 10.0)
+    assert 2 in state.links and not is_symmetric(state, 2)
     # now it lists us: both directions verified
-    state.process_message(hello(2, [(1, LINK_ASYM)], seq=2), 2, 12.0)
-    assert state.links[2].status == LINK_SYM
+    state.process_message(hello(2, asym=[1], seq=2), 2, 12.0)
+    assert is_symmetric(state, 2)
     # it stops listing us: back to one-way
-    state.process_message(hello(2, [], seq=3), 2, 14.0)
-    assert state.links[2].status == LINK_ASYM
+    state.process_message(hello(2, seq=3), 2, 14.0)
+    assert 2 in state.links and not is_symmetric(state, 2)
 
 
 def test_hello_link_expiry_uses_receiver_hold_time():
     # the message advertises a 99 s validity but link sensing uses our own
     # neighb_hold_time; two-hop entries use the sender's advertised validity
     state = NodeState(1, OlsrConfig(neighb_hold_time=6.0))
-    state.process_message(hello(2, [(1, LINK_SYM), (7, LINK_SYM)], validity=99.0), 2, 10.0)
+    state.process_message(hello(2, sym=[1, 7], validity=99.0), 2, 10.0)
     assert state.links[2].expiry == 16.0
     assert state.two_hop[2] == (1 << 7, 109.0)
 
 
 def test_hello_two_hop_set_tracks_senders_symmetric_links():
     state = NodeState(1, OlsrConfig())
-    msg = hello(2, [(1, LINK_SYM), (5, LINK_SYM), (6, LINK_MPR), (7, LINK_ASYM)])
+    msg = hello(2, asym=[7], sym=[1, 5], mpr=[6])
     state.process_message(msg, 2, 0.0)
     # asym entries and ourselves never enter the two-hop set
     assert two_hop_pairs(state) == {(2, 5), (2, 6)}
     # 5 no longer listed: pruned
-    state.process_message(hello(2, [(1, LINK_SYM), (6, LINK_SYM)], seq=2), 2, 2.0)
+    state.process_message(hello(2, sym=[1, 6], seq=2), 2, 2.0)
     assert two_hop_pairs(state) == {(2, 6)}
     # as many entries as before, but another one: replaced, not refreshed
-    state.process_message(hello(2, [(1, LINK_SYM), (7, LINK_MPR)], seq=3), 2, 4.0)
+    state.process_message(hello(2, sym=[1], mpr=[7], seq=3), 2, 4.0)
     assert two_hop_pairs(state) == {(2, 7)}
     assert state.strict_two_hop() == {7: 1 << 2}
 
 
 def test_hello_registers_mpr_selector():
     state = NodeState(1, OlsrConfig())
-    state.process_message(hello(2, [(1, LINK_SYM)]), 2, 0.0)
+    state.process_message(hello(2, sym=[1]), 2, 0.0)
     assert 2 not in state.mpr_selectors
-    state.process_message(hello(2, [(1, LINK_MPR)], seq=2, validity=6.0), 2, 4.0)
+    state.process_message(hello(2, mpr=[1], seq=2, validity=6.0), 2, 4.0)
     assert state.mpr_selectors[2] == 10.0
 
 
 def test_hello_reselects_mprs_on_membership_change():
     state = NodeState(1, OlsrConfig())
-    state.process_message(hello(2, [(1, LINK_SYM), (5, LINK_SYM)]), 2, 0.0)
+    state.process_message(hello(2, sym=[1, 5]), 2, 0.0)
     assert state.mprs == {2}
     # routes come from symmetric links plus advertised topology; the
     # two-hop set only drives relay selection
     assert state.routing == {2: (2, 1)}
-
-
-@pytest.mark.parametrize("codes", [(LINK_ASYM, LINK_MPR), (LINK_MPR, LINK_ASYM)],
-                         ids=["asym-then-mpr", "mpr-then-asym"])
-def test_hello_entry_listed_twice_counts_under_every_code(codes):
-    # any entry naming us makes the link symmetric, and any MPR-coded one
-    # registers the sender, whatever order the duplicates come in
-    state = NodeState(1, OlsrConfig())
-    entries = [(1, codes[0]), (5, codes[0]), (1, codes[1]), (5, codes[1])]
-    state.process_message(hello(2, entries), 2, 0.0)
-    assert state.links[2].status == LINK_SYM
-    assert 2 in state.mpr_selectors
-    assert two_hop_pairs(state) == {(2, 5)}
 
 
 def test_hello_shared_by_receivers_acts_like_a_fresh_message_for_each():
@@ -226,28 +231,28 @@ def test_hello_shared_by_receivers_acts_like_a_fresh_message_for_each():
 
     def primed(node):
         state = NodeState(node, OlsrConfig())
-        state.process_message(hello(7, [(node, LINK_SYM), (8, LINK_SYM)]), 7, 0.0)
+        state.process_message(hello(7, sym=[node, 8]), 7, 0.0)
         return state
 
-    entries = [(1, LINK_MPR), (3, LINK_SYM), (5, LINK_SYM), (6, LINK_ASYM)]
-    shared = hello(2, entries)
+    lists = dict(asym=[6], sym=[3, 5], mpr=[1])
+    shared = hello(2, **lists)
     for node in (1, 3, 4, 5, 6):
         state, twin = primed(node), primed(node)
         state.process_message(shared, 2, 1.0)
-        twin.process_message(hello(2, entries), 2, 1.0)
+        twin.process_message(hello(2, **lists), 2, 1.0)
         assert tables(state) == tables(twin), node
 
 
 def test_own_messages_are_ignored():
     state = NodeState(1, OlsrConfig())
-    assert state.process_message(hello(1, [(2, LINK_SYM)]), 2, 0.0) is False
+    assert state.process_message(hello(1, sym=[2]), 2, 0.0) is False
     assert not state.links
 
 
 @pytest.mark.parametrize("kind", ["PING", "MID"])
 def test_unknown_message_kind_rejected(kind):
     state = NodeState(1, OlsrConfig())
-    bogus = ControlMessage(kind, 2, 1, (), 6.0, 1)
+    bogus = ControlMessage(kind, 2, 1, 6.0, 1, 0)
     with pytest.raises(ValueError):
         state.process_message(bogus, 2, 0.0)
 
@@ -260,7 +265,7 @@ def test_tc_topology_replacement_and_stale_rejection():
     state = NodeState(1, OlsrConfig())
     state.process_message(tc(9, (4, 5), seq=5), 2, 0.0)
     assert topology_pairs(state) == {(4, 9), (5, 9)}
-    # replay with equal seq changes nothing, even with different payload
+    # replay with equal seq changes nothing, even with different selectors
     state.process_message(tc(9, (6,), seq=5), 2, 1.0)
     assert topology_pairs(state) == {(4, 9), (5, 9)}
     # lower seq is stale
@@ -280,8 +285,8 @@ def test_tc_skips_self_as_destination():
 
 def test_tc_forwarded_only_once_and_only_for_selectors():
     state = NodeState(1, OlsrConfig())
-    state.process_message(hello(2, [(1, LINK_MPR)]), 2, 0.0)
-    state.process_message(hello(3, [(1, LINK_SYM)]), 3, 0.0)
+    state.process_message(hello(2, mpr=[1]), 2, 0.0)
+    state.process_message(hello(3, sym=[1]), 3, 0.0)
 
     msg = tc(9, (4,), seq=7)
     assert state.process_message(msg, 2, 1.0) is True     # 2 selected us
@@ -297,22 +302,25 @@ def test_tc_forwarded_only_once_and_only_for_selectors():
 
 def test_tc_with_exhausted_ttl_is_consumed_not_forwarded():
     state = NodeState(1, OlsrConfig())
-    state.process_message(hello(2, [(1, LINK_MPR)]), 2, 0.0)
+    state.process_message(hello(2, mpr=[1]), 2, 0.0)
     assert state.process_message(tc(9, (4,), ttl=1), 2, 1.0) is False
     assert not state.duplicates
     assert (4, 9) in topology_pairs(state)
 
 
-def test_forwarded_copy_decrements_ttl_and_counts_hop():
-    msg = tc(9, (4,), ttl=255)
-    copy = msg.forwarded_copy()
-    assert copy.ttl == 254
-    assert (copy.seq, copy.payload, copy.originator) == (msg.seq, msg.payload, 9)
+def test_forwarded_copy_spends_ttl_and_carries_every_mask():
+    for msg in (tc(9, (4, 6), ttl=255),
+                hello(9, asym=[3], sym=[4], mpr=[6], validity=7.0, willingness=WILL_ALWAYS)):
+        copy = msg.forwarded_copy()
+        assert copy.ttl == msg.ttl - 1
+        assert copy == ControlMessage(msg.kind, 9, msg.seq, msg.validity_time, msg.ttl - 1,
+                                      msg.listed, msg.symmetric_listed, msg.mpr_listed,
+                                      msg.willingness)
 
 
 def test_message_size_is_header_plus_entries():
-    assert hello(2, []).size_bytes == 16
-    assert hello(2, [(1, LINK_SYM), (5, LINK_SYM), (6, LINK_MPR)]).size_bytes == 40
+    assert hello(2).size_bytes == 16
+    assert hello(2, sym=[1, 5], mpr=[6]).size_bytes == 40
     assert tc(9, range(10)).size_bytes == 96
 
 
@@ -341,23 +349,28 @@ def test_tc_withheld_until_someone_selects_us():
     messages = state.emit_periodic(5.0)
     assert [m.kind for m in messages] == [HELLO]   # TC due but suppressed
     assert state._next_emit[TC] == 10.0            # schedule ticks anyway
-    state.process_message(hello(2, [(1, LINK_MPR)]), 2, 6.0)
+    state.process_message(hello(2, mpr=[1]), 2, 6.0)
     messages = state.emit_periodic(10.0)
     kinds = {m.kind for m in messages}
     assert TC in kinds
     tc_msg = next(m for m in messages if m.kind == TC)
-    assert tc_msg.payload == (2,)
+    assert tc_msg.listed == 1 << 2
+    assert tc_msg.symmetric_listed == tc_msg.mpr_listed == 0
     assert tc_msg.ttl == CONTROL_TTL
     assert tc_msg.validity_time == state.config.top_hold_time
 
 
-def test_hello_payload_is_sorted_with_mpr_codes():
+def test_hello_lists_links_symmetric_neighbors_and_relays():
     state = NodeState(1, OlsrConfig())
-    state.process_message(hello(3, [(1, LINK_SYM), (9, LINK_SYM)]), 3, 0.0)
-    state.process_message(hello(2, [(1, LINK_SYM)]), 2, 0.0)
+    state.process_message(hello(3, sym=[1, 9]), 3, 0.0)
+    state.process_message(hello(2, sym=[1]), 2, 0.0)
+    state.process_message(hello(4, sym=[8]), 4, 0.0)   # one-way: 4 does not list us
     msg = state.emit_periodic(2.0)[0]
     assert msg.kind == HELLO
-    assert msg.payload == ((2, LINK_SYM), (3, LINK_MPR))
+    assert msg.listed == mask(state.links) == mask([2, 3, 4])
+    assert msg.symmetric_listed == state.symmetric == mask([2, 3])
+    assert msg.mpr_listed == mask(state.mprs) == mask([3])
+    assert msg.mpr_listed & ~msg.symmetric_listed == 0
     assert msg.ttl == 1
     assert msg.willingness == state.config.willingness
 
@@ -378,7 +391,7 @@ def test_emission_jitter_stays_within_quarter_interval():
 def test_purge_boundary_is_strictly_in_the_past():
     def fresh():
         state = NodeState(1, OlsrConfig(neighb_hold_time=6.0))
-        state.process_message(hello(2, [(1, LINK_SYM)]), 2, 0.0)  # expiry 6.0
+        state.process_message(hello(2, sym=[1]), 2, 0.0)  # expiry 6.0
         return state
 
     keep = fresh()
@@ -394,17 +407,18 @@ def test_purge_boundary_is_strictly_in_the_past():
 
 def test_purge_cascades_through_a_dead_link():
     state = NodeState(1, OlsrConfig(neighb_hold_time=6.0))
-    state.process_message(hello(2, [(1, LINK_MPR), (5, LINK_SYM)], validity=50.0), 2, 0.0)
+    state.process_message(hello(2, sym=[5], mpr=[1], validity=50.0), 2, 0.0)
     assert (2, 5) in two_hop_pairs(state) and 2 in state.mpr_selectors
     assert state.routing == {2: (2, 1)}
     assert state.purge_expired(7.0) is True
     assert not state.links and not state.two_hop and not state.mpr_selectors
+    assert state.symmetric == 0
     assert state.routing == {}
 
 
 def test_purge_drops_expired_topology_and_duplicates():
     state = NodeState(1, OlsrConfig())
-    state.process_message(hello(2, [(1, LINK_MPR)], validity=100.0), 2, 0.0)
+    state.process_message(hello(2, mpr=[1], validity=100.0), 2, 0.0)
     state.process_message(tc(9, (4,), validity=15.0), 2, 1.0)   # topo expiry 16
     assert (9, 1) in state.duplicates                        # dup expiry 31
     assert state.purge_expired(20.0) is True
@@ -447,8 +461,8 @@ def test_routing_next_hops_match_the_oracle_on_random_snapshots():
 
 def test_routing_prefers_lowest_next_hop_on_ties():
     state = NodeState(0, OlsrConfig())
-    state.links[1] = _Link(LINK_SYM, INF, WILL_DEFAULT)
-    state.links[2] = _Link(LINK_SYM, INF, WILL_DEFAULT)
+    link(state, 1)
+    link(state, 2)
     state.topology[1] = (1 << 5, 1, INF)
     state.topology[2] = (1 << 5, 1, INF)
     assert compute_routing_table(state)[5] == (1, 2)
@@ -456,7 +470,7 @@ def test_routing_prefers_lowest_next_hop_on_ties():
 
 def test_routing_ignores_asymmetric_links():
     state = NodeState(0, OlsrConfig())
-    state.links[1] = _Link(LINK_ASYM, INF, WILL_DEFAULT)
+    link(state, 1, symmetric=False)
     state.topology[1] = (1 << 5, 1, INF)
     assert compute_routing_table(state) == {}
 
@@ -464,7 +478,7 @@ def test_routing_ignores_asymmetric_links():
 def test_routing_table_sorted_by_destination():
     state = NodeState(0, OlsrConfig())
     for n in (9, 3, 7):
-        state.links[n] = _Link(LINK_SYM, INF, WILL_DEFAULT)
+        link(state, n)
     assert list(compute_routing_table(state)) == [3, 7, 9]
 
 

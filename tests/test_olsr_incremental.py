@@ -1,10 +1,11 @@
 """Property test: the incremental protocol core equals recomputation from scratch.
 
 A node state is driven through random sequences of HELLO and TC messages
-and expiry sweeps at nondecreasing times.  After every step the stored MPR
-set and routing table must equal what a fresh computation over the
-current state gives, routing hop counts must match the oracle's
-breadth-first search, and every sweep must leave nothing expired behind.
+and expiry sweeps at nondecreasing times.  After every step the symmetric
+mask must equal the test's own model of it, the stored MPR set and
+routing table must equal what a fresh computation over the current state
+gives, routing hop counts must match the oracle's breadth-first search,
+and every sweep must leave nothing expired behind.
 """
 
 from hypothesis import given, settings
@@ -13,9 +14,6 @@ from hypothesis import strategies as st
 from olsrlab.olsr import (
     CONTROL_TTL,
     HELLO,
-    LINK_ASYM,
-    LINK_MPR,
-    LINK_SYM,
     TC,
     ControlMessage,
     NodeState,
@@ -29,15 +27,32 @@ from oracles import bfs_hops, bits, cover_map, coverage_sets, reference_select_m
 SELF = 0
 NEIGHBORS = st.integers(min_value=1, max_value=3)  # may send us a HELLO
 NODES = st.integers(min_value=1, max_value=5)
-CODES = st.sampled_from([LINK_ASYM, LINK_SYM, LINK_MPR])
+CODES = st.sampled_from(["asym", "sym", "mpr"])
+
+
+def hello_masks(entries):
+    """(listed, symmetric_listed, mpr_listed) of a HELLO that lists every
+    (node, code) entry, unioned as a sender's: mpr within symmetric within
+    listed.  A node drawn under two codes is listed under both."""
+    listed = symmetric = mpr = 0
+    for node, code in entries:
+        bit = 1 << node
+        listed |= bit
+        if code != "asym":
+            symmetric |= bit
+        if code == "mpr":
+            mpr |= bit
+    return listed, symmetric, mpr
+
 
 # a HELLO usually lists us, so links turn symmetric and two-hop sets matter
 hellos = st.tuples(
     st.just("hello"),
     NEIGHBORS,
-    st.sampled_from([(), ((SELF, LINK_ASYM),), ((SELF, LINK_SYM),), ((SELF, LINK_MPR),),
-                     ((SELF, LINK_MPR),)]),
-    st.lists(st.tuples(NODES, CODES), max_size=4),
+    st.builds(lambda us, entries: hello_masks(us + entries),
+              st.sampled_from([[], [(SELF, "asym")], [(SELF, "sym")], [(SELF, "mpr")],
+                               [(SELF, "mpr")]]),
+              st.lists(st.tuples(NODES, CODES), max_size=4)),
 )
 tcs = st.tuples(
     st.just("tc"),
@@ -80,7 +95,10 @@ def expiries(state):
     return out
 
 
-def check_derived_tables(state):
+def check_derived_tables(state, symmetric):
+    """Check every derived table; ``symmetric`` is the test's own model of
+    the symmetric neighbors."""
+    assert state.symmetric == sum(1 << n for n in symmetric)
     # buckets are never empty, never list us, and a topology bucket holds
     # the originator's latest sequence number
     for targets, _ in state.two_hop.values():
@@ -121,30 +139,36 @@ def check_derived_tables(state):
 @given(configs, profiles, steps)
 def test_incremental_core_matches_recomputation(config, profile, plan):
     state = NodeState(SELF, config)
+    # the model of the symmetric mask: each live link's sender -> (whether
+    # its latest HELLO listed us, the link's expiry)
+    heard = {}
     now = 0.0
     for dt, (kind, *step) in plan:
         now += dt
         if kind == "purge":
             before = expiries(state)
             removed = state.purge_expired(now)
+            heard = {n: link for n, link in heard.items() if link[1] >= now}
             after = expiries(state)
             assert all(exp >= now for _, _, exp in after)
             assert removed == (after != before)
             assert state.purge_expired(now) is False
         elif kind == "hello":
-            sender, us, entries = step
+            sender, (listed, symmetric, mpr) = step
             will, validity, _ = profile[sender]
-            msg = ControlMessage(HELLO, sender, 1, us + tuple(entries), validity, 1,
+            msg = ControlMessage(HELLO, sender, 1, validity, 1, listed, symmetric, mpr,
                                  willingness=will)
             state.process_message(msg, sender, now)
+            heard[sender] = (bool(listed >> SELF & 1), now + config.neighb_hold_time)
             # the sender's bucket now holds exactly its symmetric links but us
-            listed = {n for n, code in msg.payload if code != LINK_ASYM} - {SELF}
-            assert set(bits(state.two_hop.get(sender, (0, None))[0])) == listed
+            assert set(bits(state.two_hop.get(sender, (0, None))[0])) == \
+                set(bits(symmetric)) - {SELF}
         else:
             sender, origin, selectors, seq, ttl = step
             validity = profile[origin][2]
-            msg = ControlMessage(TC, origin, seq, tuple(selectors), validity, ttl)
+            msg = ControlMessage(TC, origin, seq, validity, ttl,
+                                 sum(1 << n for n in set(selectors)))
             state.process_message(msg, sender, now)
         # the watermark the expiry sweep skips on is a lower bound
         assert all(state._next_expiry <= exp for _, _, exp in expiries(state))
-        check_derived_tables(state)
+        check_derived_tables(state, [n for n, (us, _) in heard.items() if us])
