@@ -310,6 +310,10 @@ def cmd_compare(args) -> int:
     if repeated:
         raise ValueError(f"config label named more than once: {', '.join(repeated)}")
     scenarios = [_resolve_scenario(n.strip()) for n in args.scenarios.split(",")]
+    names = [spec.name for spec in scenarios]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"scenario named more than once: {', '.join(repeated)}")
     seeds = [args.base_seed + i for i in range(args.seeds)]
 
     cells = []
@@ -391,11 +395,19 @@ def cmd_report(args) -> int:
 
 # -- entry point ---------------------------------------------------------------
 
-def positive_int(text: str) -> int:
+def _int_at_least(text: str, lowest: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < lowest:
+        raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
     return value
+
+
+def positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=positive_int, default=30)
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--population", type=int, default=10)
-    p.add_argument("--base-seed", type=int, default=1)
+    # the optimizers seed numpy, which refuses a negative seed
+    p.add_argument("--base-seed", type=non_negative_int, default=1)
     p.add_argument("--eval-seed", type=int, default=0,
                    help="simulation seed shared by every evaluation")
     p.add_argument("--outdir", default=_default_outdir())

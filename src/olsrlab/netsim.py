@@ -19,11 +19,24 @@ for protocol tuning:
 
 Events are processed in nondecreasing time with ties broken by
 (time, kind precedence, subject id, insertion order), so a run is a pure
-function of (scenario, config, seed).  CBR packets are scheduled one at a
-time per session: sending one schedules the session's next, so the event
-heap never holds more than one future packet per session.  Ties between
+function of (scenario, config, seed).  ``Simulator._insertions`` counts
+the events scheduled.  CBR packets are scheduled one at a time per
+session: sending one schedules the session's next, so the event heap
+never holds more than one future packet per session.  Ties between
 packets of one source break by session index, the order in which
 scheduling every packet up front would have inserted them.
+
+A frame's arrivals are one heap entry per ended transmission: its
+reception set, the receivers that got it in ascending id order (one for
+a unicast frame), sharing one ``(payload, sender)``.  The set takes one
+insertion index per receiver, ``first ... first+k-1``, and
+``_insertions`` counts each receiver, so the order and the count are
+those of one event per receiver.  Arrivals have the lowest kind
+precedence and handling one never schedules another, so only arrivals of
+another transmission at the bit-identical time can fall between a set's
+receivers (two frames that ended together, or whose end plus the
+processing delay rounds to one time).  Such tied sets are merged and
+handled by (receiver id, insertion index).
 
 A node's protocol state is purged of expired tuples at the start of every
 handler that reads it (periodic emission, CBR send, frame arrival), and
@@ -50,6 +63,7 @@ EVENT_ORDER = {
     "cbr-send": 4,
     "sim-end": 5,
 }
+_ARRIVAL_ORDER = EVENT_ORDER["frame-arrival"]
 _CBR_ORDER = EVENT_ORDER["cbr-send"]
 
 
@@ -189,6 +203,27 @@ class Simulator:
                                     kind, payload))
         self._insertions += 1
 
+    def _schedule_arrivals(self, time: float, receivers: list[int], payload) -> None:
+        """Schedule one frame's arrivals at ``receivers`` (ascending, not
+        empty) as one reception set, taking one insertion index each."""
+        first = self._insertions
+        heapq.heappush(self._heap, (time, _ARRIVAL_ORDER, receivers[0], first,
+                                    "frame-arrival", (receivers, payload)))
+        self._insertions = first + len(receivers)
+
+    def _tied_arrivals(self, time: float, first: int, receivers: list[int], payload):
+        """Pop every other reception set due at ``time`` and return the
+        arrivals of all of them, with the popped set's, as ``(receiver,
+        insertion index, payload)`` in the order one event per receiver
+        would run: by receiver id, then insertion index."""
+        heap = self._heap
+        arrivals = [(r, first + i, payload) for i, r in enumerate(receivers)]
+        while heap and heap[0][0] == time and heap[0][1] == _ARRIVAL_ORDER:
+            _, _, _, first, _, (receivers, payload) = heapq.heappop(heap)
+            arrivals.extend((r, first + i, payload) for i, r in enumerate(receivers))
+        arrivals.sort(key=lambda arrival: arrival[:2])
+        return arrivals
+
     def _log(self, subject: int, kind: str, detail: str) -> None:
         # hot call sites test ``_event_log`` themselves, so that a run
         # without a log formats no detail string
@@ -221,14 +256,25 @@ class Simulator:
 
         handlers = {kind: getattr(self, "_on_" + kind.replace("-", "_"))
                     for kind in EVENT_ORDER if kind != "sim-end"}
+        arrival = handlers["frame-arrival"]
         heap, pop = self._heap, heapq.heappop
         while heap:
-            time, _, subject, _, kind, payload = pop(heap)
+            time, order, subject, first, kind, payload = pop(heap)
             self.now = time
-            if kind == "sim-end":
+            if order == _ARRIVAL_ORDER:
+                receivers, shared = payload
+                if heap and heap[0][0] == time and heap[0][1] == _ARRIVAL_ORDER:
+                    for receiver, _, shared in self._tied_arrivals(time, first, receivers,
+                                                                   shared):
+                        arrival(receiver, shared)
+                else:
+                    for receiver in receivers:
+                        arrival(receiver, shared)
+            elif kind == "sim-end":
                 self._log(subject, kind, "")
                 break
-            handlers[kind](subject, payload)
+            else:
+                handlers[kind](subject, payload)
         return collect_metrics(self.counters, duration)
 
     # -- handlers ---------------------------------------------------------
@@ -307,20 +353,23 @@ class Simulator:
         trace = self.scenario.trace
         tx_range = self._tx_range
         if frame.dest is None:
-            arrival, payload = now + self._processing_delay, (frame.payload, node_id)
+            receivers = []
             for other in self._candidates(node_id, tx.start):
                 rpos = trace.position(other, tx.start)
                 if math.dist(rpos, tx.pos) <= tx_range and not (
                         rivals and self._corrupted(rivals, other, rpos)):
-                    self._schedule(arrival, "frame-arrival", other, payload)
+                    receivers.append(other)
+            if receivers:
+                self._schedule_arrivals(now + self._processing_delay, receivers,
+                                        (frame.payload, node_id))
             self._finish_frame(self.nodes[node_id])
         else:
             dest = frame.dest
             rpos = trace.position(dest, tx.start)
             if math.dist(rpos, tx.pos) <= tx_range and not (
                     rivals and self._corrupted(rivals, dest, rpos)):
-                self._schedule(now + self._processing_delay, "frame-arrival", dest,
-                               (frame.payload, node_id))
+                self._schedule_arrivals(now + self._processing_delay, [dest],
+                                        (frame.payload, node_id))
                 self._finish_frame(self.nodes[node_id])
             elif frame.attempts <= self._max_retransmissions:
                 self._schedule(now, "frame-send", node_id)

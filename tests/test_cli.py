@@ -392,6 +392,22 @@ def test_a_count_below_one_is_refused_before_anything_is_written(tmp_path, capsy
     assert not outdir.exists()
 
 
+def test_optimize_refuses_a_negative_base_seed_and_keeps_the_outdir_usable(tmp_path,
+                                                                           capsys):
+    # numpy refuses a negative seed; the flag is refused before campaign.json
+    # would fix it, so the same --outdir still takes a valid campaign
+    outdir = tmp_path / "camp"
+    argv = ["optimize", "--objective", "sphere", "--algorithms", "RAND", "--runs", "1",
+            "--budget", "2", "--outdir", str(outdir)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--base-seed", "-3"])
+    assert exit_info.value.code == 2
+    assert "argument --base-seed: must be at least 0, got -3" in capsys.readouterr().err
+    assert not outdir.exists()
+    assert main(argv + ["--base-seed", "0"]) == 0
+    assert json.loads(read(outdir / "campaign.json"))["base_seed"] == 0
+
+
 def test_optimize_drops_a_repeated_algorithm(tmp_path, capsys):
     outdir = tmp_path / "camp"
     assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND,SA,rand",
@@ -455,6 +471,16 @@ def test_compare_refuses_a_repeated_config_label(tmp_path, capsys):
                  "--scenarios", "static-mesh-smoke", "--seeds", "1",
                  "--outdir", str(outdir)]) == 2
     assert "named more than once: rfc3626" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_compare_refuses_a_repeated_scenario(tmp_path, capsys):
+    # a second copy would add identical rows and count twice in ALL
+    outdir = tmp_path / "cmp"
+    assert main(["compare", "--configs", "rfc3626",
+                 "--scenarios", "static-mesh-smoke,congested-small,static-mesh-smoke",
+                 "--seeds", "1", "--outdir", str(outdir)]) == 2
+    assert "scenario named more than once: static-mesh-smoke" in capsys.readouterr().err
     assert not outdir.exists()
 
 

@@ -1,6 +1,7 @@
 """Event-driven network simulator: delivery, losses, metrics, determinism."""
 
 import bisect
+import hashlib
 import io
 import math
 from dataclasses import replace
@@ -155,8 +156,9 @@ def _heard_overlap(overlapping, receiver, receiver_pos, tx_range):
 
 
 class _TxendAudit(Simulator):
-    """Keeps every transmission ever made, and hands each frame-txend's
-    scheduled arrivals to ``judge``, after the handler returns.
+    """Keeps every transmission ever made, and hands the receivers of each
+    frame-txend's reception set (none when no receiver got the frame) to
+    ``judge``, after the handler returns.
 
     The expected outcome is computed from that history and the test
     oracle's positions alone, never from the simulator's live transmission
@@ -176,9 +178,12 @@ class _TxendAudit(Simulator):
     def _schedule(self, time, kind, subject, payload=None):
         if kind == "frame-txend":
             self.pending[id(payload)] = payload
-        elif kind == "frame-arrival" and self.arrivals is not None:
-            self.arrivals.append(subject)
         super()._schedule(time, kind, subject, payload)
+
+    def _schedule_arrivals(self, time, receivers, payload):
+        assert self.arrivals == [], "one reception set per frame-txend"
+        self.arrivals.extend(receivers)
+        super()._schedule_arrivals(time, receivers, payload)
 
     def _on_frame_txend(self, node_id, tx):
         del self.pending[id(tx)]
@@ -290,6 +295,85 @@ def test_broadcast_receivers_match_a_scan_of_every_node(name):
     # receivers out of range at the start of their slot: the candidate
     # radius must count how far both ends move within a slot
     assert sim.moved_into_range > 0
+
+
+# ---------------------------------------------------------------------------
+# one heap entry per reception set, in the order of one event per receiver
+# ---------------------------------------------------------------------------
+
+class _ArrivalOrderAudit(Simulator):
+    """Records every arrival as it is handled, as the key of the
+    per-receiver event it stands for: (time, receiver, insertion index)."""
+
+    def __init__(self, *args, **kwargs):
+        self.sets = {}      # id(payload) -> (first insertion, receivers, payload)
+        self.by_time = {}   # arrival time -> receivers of each set due then
+        self.handled = []
+        super().__init__(*args, **kwargs)
+
+    def _schedule_arrivals(self, time, receivers, payload):
+        # the payload is kept, so that its id names this set alone
+        self.sets[id(payload)] = (self._insertions, receivers, payload)
+        self.by_time.setdefault(time, []).append(receivers)
+        super()._schedule_arrivals(time, receivers, payload)
+
+    def _on_frame_arrival(self, node_id, payload):
+        first, receivers, _ = self.sets[id(payload)]
+        self.handled.append((self.now, node_id, first + receivers.index(node_id)))
+        super()._on_frame_arrival(node_id, payload)
+
+
+def tie_scenario():
+    """Two relays 400 m apart, hidden from each other, both 200 m from node
+    0, each with two leaves of its own: 1 serves 2 and 4, 6 serves 3 and 5.
+    With no backoff both relays forward a TC of node 0 the moment it
+    arrives, so their copies end together and, after the processing delay,
+    arrive at {2, 4} and {3, 5} at one time."""
+    spots = {0: (500.0, 300.0), 1: (300.0, 300.0), 6: (700.0, 300.0),
+             2: (100.0, 250.0), 4: (100.0, 350.0), 3: (900.0, 250.0), 5: (900.0, 350.0)}
+    return ScenarioSpec(
+        name="tied-reception-sets",
+        area=(1000.0, 600.0),
+        duration=30.0,
+        nodes=7,
+        trace=MobilityTrace({n: [(0.0, x, y)] for n, (x, y) in spots.items()}),
+        sessions=[CbrSession(2, 3, 10.0, 10.0)],
+        radio_mac=RadioMacParams(processing_delay=1e-3, backoff_slots=0),
+    ).validate()
+
+
+def test_tied_reception_sets_are_handled_interleaved_by_receiver_id():
+    sim = _ArrivalOrderAudit(tie_scenario(), OlsrConfig(), 1)
+    metrics = sim.run()
+    assert metrics.data_delivered == metrics.data_sent == 40
+    interleaved = [time for time, sets in sim.by_time.items()
+                   if len(sets) > 1 and sorted(sum(sets, [])) != sum(sorted(sets), [])]
+    assert len(interleaved) >= 3
+    # with a processing delay no arrival is scheduled at the time being
+    # handled, so one event per receiver would run in strictly rising
+    # (time, receiver, insertion index): 2, 3, 4, 5 at a tie, not 2, 4, 3, 5
+    assert sim.handled == sorted(set(sim.handled))
+    assert len(sim.handled) == sum(len(r) for _, r, _ in sim.sets.values())
+
+
+def test_tied_reception_sets_merge_by_receiver_then_insertion():
+    handled = []
+
+    class Recorder(Simulator):
+        def _on_frame_arrival(self, node_id, payload):
+            if isinstance(payload[0], str):
+                handled.append((self.now, node_id, payload[0]))
+            else:
+                super()._on_frame_arrival(node_id, payload)
+
+    sim = Recorder(tie_scenario(), OlsrConfig(), 1)
+    for receivers, tag in (([1, 3], "a"), ([0, 2, 5], "b"), ([2, 4], "c")):
+        sim._schedule_arrivals(0.5, receivers, (tag, 6))
+    sim._schedule_arrivals(0.25, [4], ("d", 6))
+    assert sim._insertions == 8
+    sim.run()
+    assert handled == [(0.25, 4, "d"), (0.5, 0, "b"), (0.5, 1, "a"), (0.5, 2, "b"),
+                       (0.5, 2, "c"), (0.5, 3, "a"), (0.5, 4, "c"), (0.5, 5, "b")]
 
 
 def test_hop_budget_drop():
@@ -533,6 +617,17 @@ def test_same_seed_reproduces_metrics_and_event_log():
     assert a == b
     assert log_a.getvalue() == log_b.getvalue()
     assert run_simulation(spec, OlsrConfig(), 8) != a
+
+
+def test_congested_small_event_log_is_pinned():
+    # the whole log of one run, pinned when every arrival was its own heap
+    # event: batching a frame's arrivals must not move one line
+    log = io.StringIO()
+    run_simulation(catalog()["congested-small"], OlsrConfig(), 1, event_log=log)
+    text = log.getvalue()
+    assert text.count("\n") == 4708
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "480e3380b434827a8f84e84f6110fb4f999f04f42a47389500b59650fe7e5bd4")
 
 
 @pytest.mark.parametrize("second_start,expected", [
