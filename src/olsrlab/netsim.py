@@ -38,6 +38,14 @@ receivers (two frames that ended together, or whose end plus the
 processing delay rounds to one time).  Such tied sets are merged and
 handled by (receiver id, insertion index).
 
+The run loop hands a reception set to one handler,
+``Simulator._on_frame_arrival(receivers, payload)``.  It unpacks the
+shared ``(payload, sender)`` and tests the payload's type once, then, for
+each receiver in ascending order, purges the receiver's state and applies
+the control message (forwarding a copy when the protocol says so) or
+routes the data packet.  Merged tied sets are handed to it one arrival at
+a time, in the merged order.
+
 A node's protocol state is purged of expired tuples at the start of every
 handler that reads it (periodic emission, CBR send, frame arrival), and
 nothing else reads it, so no separate expiry timer is scheduled.
@@ -262,14 +270,11 @@ class Simulator:
             time, order, subject, first, kind, payload = pop(heap)
             self.now = time
             if order == _ARRIVAL_ORDER:
-                receivers, shared = payload
                 if heap and heap[0][0] == time and heap[0][1] == _ARRIVAL_ORDER:
-                    for receiver, _, shared in self._tied_arrivals(time, first, receivers,
-                                                                   shared):
-                        arrival(receiver, shared)
+                    for receiver, _, shared in self._tied_arrivals(time, first, *payload):
+                        arrival((receiver,), shared)
                 else:
-                    for receiver in receivers:
-                        arrival(receiver, shared)
+                    arrival(*payload)
             elif kind == "sim-end":
                 self._log(subject, kind, "")
                 break
@@ -407,24 +412,34 @@ class Simulator:
         if node.current is not None:
             self._schedule(self.now, "frame-send", node.node_id)
 
-    def _on_frame_arrival(self, node_id: int, payload) -> None:
+    def _on_frame_arrival(self, receivers, payload) -> None:
+        """Hand one frame to each of ``receivers`` in order: purge the
+        receiver's state, then apply a control message or route a data
+        packet.  A data frame is unicast, so its set has one receiver."""
         message, sender = payload
-        node = self.nodes[node_id]
-        node.state.purge_expired(self.now)
+        now = self.now
+        nodes = self.nodes
+        log = self._event_log
         if isinstance(message, ControlMessage):
-            forward = node.state.process_message(message, sender, self.now)
-            if self._event_log is not None:
-                self._log(node_id, "frame-arrival",
-                          f"{message.kind} from={sender} origin={message.originator}")
-            if forward:
-                copy = message.forwarded_copy()
-                self._enqueue(node, Frame(copy, node_id, None, copy.size_bytes))
+            for receiver in receivers:
+                node = nodes[receiver]
+                state = node.state
+                state.purge_expired(now)
+                forward = state.process_message(message, sender, now)
+                if log is not None:
+                    self._log(receiver, "frame-arrival",
+                              f"{message.kind} from={sender} origin={message.originator}")
+                if forward:
+                    copy = message.forwarded_copy()
+                    self._enqueue(node, Frame(copy, receiver, None, copy.size_bytes))
         else:
+            (receiver,) = receivers
+            nodes[receiver].state.purge_expired(now)
             message.hop_count += 1
-            if self._event_log is not None:
-                self._log(node_id, "frame-arrival",
+            if log is not None:
+                self._log(receiver, "frame-arrival",
                           f"DATA uid={message.uid[0]}:{message.uid[1]} from={sender}")
-            self.route_data_packet(message, node_id, self.now)
+            self.route_data_packet(message, receiver, now)
 
     # -- data plane -------------------------------------------------------
 

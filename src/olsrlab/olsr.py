@@ -59,8 +59,8 @@ class OlsrConfig:
     def validate(self) -> "OlsrConfig":
         """Raise ValueError listing every field a simulation cannot run with.
 
-        Every time must be finite and positive, and willingness an integer
-        in [WILL_NEVER, WILL_ALWAYS].  The tuning box the optimizers search
+        Every time must be a finite positive int or float (a bool is
+        neither), and willingness an integer in [WILL_NEVER, WILL_ALWAYS].  The tuning box the optimizers search
         is narrower; it lives in :data:`olsrlab.params.LOWER` and ``UPPER``.
 
         No lower bound is set on a time, so a tiny interval validates but
@@ -72,7 +72,8 @@ class OlsrConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name != "willingness" and not (
-                    isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+                    isinstance(value, (int, float)) and not isinstance(value, bool)
+                    and math.isfinite(value) and value > 0):
                 problems.append(f"{f.name}={value!r} is not a finite positive time")
         if not isinstance(self.willingness, int) or isinstance(self.willingness, bool):
             problems.append(f"willingness={self.willingness!r} is not an integer")
@@ -248,13 +249,25 @@ class NodeState:
       sender's bit for each target in the XOR of the old and new masks.
       :meth:`strict_two_hop` reads the index, at O(links + two-hop
       targets), not O(sum of bucket sizes).
-    * The MPR set is a pure function of the symmetric links and the
-      two-hop set.  A change to either marks it stale, and it is selected
-      again when next read (``mprs``, ``uncoverable``).
-    * The routing table depends on the symmetric links and the topology
-      only.  A link that appears, disappears, turns symmetric or one-way or
-      changes willingness, or a topology bucket whose destinations change,
-      marks it stale, and reading ``routing`` recomputes it.
+    * The MPR selection reads exactly the ``symmetric`` mask, each
+      symmetric neighbor's willingness and the strict two-hop set: the
+      targets outside ``symmetric`` that a symmetric neighbor's bucket
+      lists.  A HELLO drops it only when it changes ``symmetric``, changes
+      a symmetric sender's willingness, or adds or removes a target
+      outside ``symmetric`` in a symmetric sender's bucket, as RFC 3626
+      section 8.3.1 asks.  A refresh, a one-way link or a bucket change
+      of a target that is itself a symmetric neighbor keeps it.  Once
+      dropped it is selected again when next read (``mprs``,
+      ``uncoverable``).
+    * The routing table reads exactly the ``symmetric`` mask and the
+      topology buckets.  A change to ``symmetric`` or to a topology
+      bucket's destinations marks it stale, and reading ``routing``
+      recomputes it.  Routes to two-hop neighbors (RFC 3626 section 10,
+      step 3; ROADMAP item 3) will read the two-hop buckets too, and a
+      bucket change must then mark the routes stale as well.
+    * The expiry sweep keeps coarser rules: a dead link or two-hop bucket
+      drops the selection, and a dead link or topology bucket marks the
+      routes stale.
 
     Every call passes a time ``now`` that never decreases from one call to
     the next; the front drop of ``duplicates`` relies on it.  Expired
@@ -275,8 +288,8 @@ class NodeState:
         # the transpose of two_hop: target -> mask of the neighbors whose
         # bucket lists it; no mask is zero
         self._two_hop_vias: dict[int, int] = {}
-        # the MPR selection; None until made, and again once links or
-        # two-hop entries change
+        # the MPR selection; None until made, and again once one of its
+        # inputs changes (see the class docstring)
         self._selection: MprSelection | None = None
         # neighbor id -> expiry
         self.mpr_selectors: dict[int, float] = {}
@@ -347,17 +360,54 @@ class NodeState:
         duplicate, has hop budget left, and arrived from a neighbor that
         selected us as MPR.  HELLO messages never travel more than one hop.
         """
-        if msg.kind not in MESSAGE_KINDS:
-            raise ValueError(f"unknown message kind {msg.kind!r}")
-        if msg.originator == self.self_id:
+        kind = msg.kind
+        if kind not in MESSAGE_KINDS:
+            raise ValueError(f"unknown message kind {kind!r}")
+        self_id = self.self_id
+        if msg.originator == self_id:
             return False
 
-        if msg.kind == HELLO:
-            links_changed, two_hop_changed = self._apply_hello(msg, sender, now)
-            if links_changed or two_hop_changed:
+        if kind == HELLO:
+            # the sender is symmetric while it lists us, one-way otherwise;
+            # link sensing uses our own hold time, two-hop entries and the
+            # selector registration the sender's validity
+            bit = 1 << sender
+            old_symmetric = self.symmetric
+            if msg.listed >> self_id & 1:
+                symmetric = old_symmetric | bit
+            else:
+                symmetric = old_symmetric & ~bit
+            will = msg.willingness if msg.willingness is not None else WILL_DEFAULT
+            old = self.links.get(sender)
+            link_expiry = now + self.config.neighb_hold_time
+            self.links[sender] = _Link(link_expiry, will)
+            expiry = now + msg.validity_time
+
+            # two-hop entries come from the sender's symmetric links only:
+            # the bucket is the listed mask less us
+            mask = msg.symmetric_listed & ~(1 << self_id)
+            bucket = self.two_hop.get(sender)
+            flipped = mask ^ bucket[0] if bucket is not None else mask
+            if flipped:
+                self._reindex(sender, flipped)
+            if mask:
+                self.two_hop[sender] = (mask, expiry)
+            elif bucket is not None:
+                del self.two_hop[sender]
+
+            if msg.mpr_listed >> self_id & 1:
+                self.mpr_selectors[sender] = expiry
+            if link_expiry < self._next_expiry:
+                self._next_expiry = link_expiry
+            if expiry < self._next_expiry:
+                self._next_expiry = expiry
+
+            if symmetric != old_symmetric:
+                self.symmetric = symmetric
                 self._selection = None
-            if links_changed:
                 self._routing_stale = True
+            elif symmetric & bit and (old.willingness != will or flipped & ~symmetric):
+                self._selection = None
             return False
 
         if self._apply_tc(msg, now):
@@ -367,40 +417,9 @@ class NodeState:
             return False
         expiry = now + self.config.dup_hold_time
         self.duplicates[key] = expiry
-        self._next_expiry = min(self._next_expiry, expiry)
+        if expiry < self._next_expiry:
+            self._next_expiry = expiry
         return True
-
-    def _apply_hello(self, msg: ControlMessage, sender: int, now: float) -> tuple[bool, bool]:
-        """Return whether the links and whether the two-hop set changed membership."""
-        expiry = now + msg.validity_time
-        # the sender is symmetric while it lists us, one-way otherwise
-        symmetric = self.symmetric
-        if msg.listed >> self.self_id & 1:
-            self.symmetric |= 1 << sender
-        else:
-            self.symmetric &= ~(1 << sender)
-        will = msg.willingness if msg.willingness is not None else WILL_DEFAULT
-        old = self.links.get(sender)
-        links_changed = old is None or old.willingness != will or symmetric != self.symmetric
-        link_expiry = now + self.config.neighb_hold_time
-        self.links[sender] = _Link(link_expiry, will)
-
-        # two-hop entries come from the sender's symmetric links only: the
-        # bucket is the listed mask less us
-        mask = msg.symmetric_listed & ~(1 << self.self_id)
-        old_mask = self.two_hop.get(sender, (0, None))[0]
-        two_hop_changed = mask != old_mask
-        if two_hop_changed:
-            self._reindex(sender, old_mask ^ mask)
-        if mask:
-            self.two_hop[sender] = (mask, expiry)
-        elif old_mask:
-            del self.two_hop[sender]
-
-        if msg.mpr_listed >> self.self_id & 1:
-            self.mpr_selectors[sender] = expiry
-        self._next_expiry = min(self._next_expiry, link_expiry, expiry)
-        return links_changed, two_hop_changed
 
     def _apply_tc(self, msg: ControlMessage, now: float) -> bool:
         """Return whether the originator's advertised destinations changed."""
@@ -414,7 +433,8 @@ class NodeState:
         if dests:
             expiry = now + msg.validity_time
             self.topology[origin] = (dests, msg.seq, expiry)
-            self._next_expiry = min(self._next_expiry, expiry)
+            if expiry < self._next_expiry:
+                self._next_expiry = expiry
         return dests != old_dests
 
     # -- periodic emission ----------------------------------------------

@@ -44,13 +44,30 @@ class RadioMacParams:
     backoff_slots: int = 32          # backoff drawn uniformly from [0, slots*slot)
 
     def validate(self) -> "RadioMacParams":
-        if self.tx_range <= 0 or self.bandwidth <= 0:
-            raise ValueError("tx_range and bandwidth must be positive")
-        if self.max_retransmissions < 0 or self.backoff_slots < 0:
-            raise ValueError("retransmissions and backoff_slots must be >= 0")
-        if self.processing_delay < 0 or self.slot_time < 0:
-            raise ValueError("delays must be >= 0")
+        for name in ("tx_range", "bandwidth"):
+            value = getattr(self, name)
+            if not (_finite(value) and value > 0):
+                raise ValueError(f"{name}={value!r} must be finite and positive")
+        for name in ("processing_delay", "slot_time"):
+            value = getattr(self, name)
+            if not (_finite(value) and value >= 0):
+                raise ValueError(f"{name}={value!r} must be finite and >= 0")
+        for name in ("max_retransmissions", "backoff_slots"):
+            value = getattr(self, name)
+            if not (_integer(value) and value >= 0):
+                raise ValueError(f"{name}={value!r} must be an integer >= 0")
         return self
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite int or float; a bool is neither."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _integer(value) -> bool:
+    """Whether ``value`` is an int that is no bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -245,10 +262,10 @@ class ScenarioSpec:
     radio_mac: RadioMacParams = field(default_factory=RadioMacParams)
 
     def validate(self) -> "ScenarioSpec":
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.nodes <= 0:
-            raise ValueError("node count must be positive")
+        if not (_finite(self.duration) and self.duration > 0):
+            raise ValueError(f"duration={self.duration!r} must be finite and positive")
+        if not (_integer(self.nodes) and self.nodes > 0):
+            raise ValueError(f"nodes={self.nodes!r} must be a positive integer")
         self.radio_mac.validate()
         self.trace.validate(bounds=self.area, nodes=self.nodes)
         for i, s in enumerate(self.sessions):
@@ -257,11 +274,18 @@ class ScenarioSpec:
             for endpoint in (s.source, s.dest):
                 if endpoint not in self.trace.waypoints:
                     raise ValueError(f"session {i}: unknown node {endpoint}")
+            for name in ("start", "duration"):
+                if not _finite(getattr(s, name)):
+                    raise ValueError(f"session {i}: {name}={getattr(s, name)!r} "
+                                     f"must be finite")
             if s.start < 0 or s.start + s.duration > self.duration + 1e-9:
                 raise ValueError(f"session {i}: window [{s.start}, {s.start + s.duration}]"
                                  f" outside [0, {self.duration}]")
-            if s.packet_size <= 0 or s.packet_rate <= 0:
-                raise ValueError(f"session {i}: packet size/rate must be positive")
+            for name in ("packet_size", "packet_rate"):
+                value = getattr(s, name)
+                if not (_finite(value) and value > 0):
+                    raise ValueError(f"session {i}: {name}={value!r} must be finite "
+                                     f"and positive")
         return self
 
 

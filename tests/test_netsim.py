@@ -6,6 +6,7 @@ import io
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from olsrlab.netsim import (
@@ -19,6 +20,7 @@ from olsrlab.netsim import (
 )
 from olsrlab.configs import named_configs
 from olsrlab.olsr import NodeState, OlsrConfig
+from olsrlab.params import LOWER, UPPER, decode_params
 from olsrlab.scenario import (
     CANDIDATE_SLOT,
     CbrSession,
@@ -302,14 +304,29 @@ def test_broadcast_receivers_match_a_scan_of_every_node(name):
 # ---------------------------------------------------------------------------
 
 class _ArrivalOrderAudit(Simulator):
-    """Records every arrival as it is handled, as the key of the
-    per-receiver event it stands for: (time, receiver, insertion index)."""
+    """Records every arrival where it is handled, as the key of the
+    per-receiver event it stands for: (time, receiver, insertion index).
+
+    The set handler purges each receiver's state first, and handling an
+    arrival purges no other node, so a purge made while a set is being
+    handled marks the point where that receiver's arrival is handled."""
 
     def __init__(self, *args, **kwargs):
         self.sets = {}      # id(payload) -> (first insertion, receivers, payload)
         self.by_time = {}   # arrival time -> receivers of each set due then
         self.handled = []
+        self.handling = None  # the payload of the set being handled
         super().__init__(*args, **kwargs)
+        for node_id, node in self.nodes.items():
+            node.state.purge_expired = self._watch(node_id, node.state.purge_expired)
+
+    def _watch(self, node_id, purge_expired):
+        def watched(now):
+            if self.handling is not None:
+                first, receivers, _ = self.sets[id(self.handling)]
+                self.handled.append((now, node_id, first + receivers.index(node_id)))
+            return purge_expired(now)
+        return watched
 
     def _schedule_arrivals(self, time, receivers, payload):
         # the payload is kept, so that its id names this set alone
@@ -317,10 +334,10 @@ class _ArrivalOrderAudit(Simulator):
         self.by_time.setdefault(time, []).append(receivers)
         super()._schedule_arrivals(time, receivers, payload)
 
-    def _on_frame_arrival(self, node_id, payload):
-        first, receivers, _ = self.sets[id(payload)]
-        self.handled.append((self.now, node_id, first + receivers.index(node_id)))
-        super()._on_frame_arrival(node_id, payload)
+    def _on_frame_arrival(self, receivers, payload):
+        self.handling = payload
+        super()._on_frame_arrival(receivers, payload)
+        self.handling = None
 
 
 def tie_scenario():
@@ -360,11 +377,11 @@ def test_tied_reception_sets_merge_by_receiver_then_insertion():
     handled = []
 
     class Recorder(Simulator):
-        def _on_frame_arrival(self, node_id, payload):
+        def _on_frame_arrival(self, receivers, payload):
             if isinstance(payload[0], str):
-                handled.append((self.now, node_id, payload[0]))
+                handled.extend((self.now, receiver, payload[0]) for receiver in receivers)
             else:
-                super()._on_frame_arrival(node_id, payload)
+                super()._on_frame_arrival(receivers, payload)
 
     sim = Recorder(tie_scenario(), OlsrConfig(), 1)
     for receivers, tag in (([1, 3], "a"), ([0, 2, 5], "b"), ([2, 4], "c")):
@@ -551,6 +568,42 @@ def test_willingness_extremes_reproduce_their_pinned_metrics(name, willingness, 
 ])
 def test_tuning_box_configs_reproduce_their_pinned_metrics(fields, mac_drops, events, expected):
     sim = Simulator(catalog()["congested-small"], OlsrConfig(*fields), 1)
+    assert sim.run() == expected
+    assert sim.counters.dropped_mac == mac_drops
+    assert sim._insertions == events
+
+
+# congested-small at seed 1 under the first five configs a campaign would
+# draw from the box, np.random.default_rng(0).uniform(LOWER, UPPER): long
+# and short hold times mixed, expired links and MAC drops, not the grid
+# corners above.  Columns: draw index; MAC drops; events scheduled.
+@pytest.mark.parametrize("index,mac_drops,events,expected", [
+    (0, 117, 3371, QosMetrics(
+        pdr=0.5675, nrl=0.13215859030837004, e2ed=0.0010764299468776829,
+        rpl=1.0, data_sent=400, data_delivered=227,
+        data_dropped=173, data_in_flight=0, routing_tx=30)),
+    (1, 117, 3343, QosMetrics(
+        pdr=0.7025, nrl=0.1387900355871886, e2ed=0.001061103959448655,
+        rpl=1.0, data_sent=400, data_delivered=281,
+        data_dropped=119, data_in_flight=0, routing_tx=39)),
+    (2, 20, 1057, QosMetrics(
+        pdr=0.065, nrl=0.7692307692307693, e2ed=0.001060959180478267,
+        rpl=1.0, data_sent=400, data_delivered=26,
+        data_dropped=374, data_in_flight=0, routing_tx=20)),
+    (3, 117, 3494, QosMetrics(
+        pdr=0.58, nrl=0.5474137931034483, e2ed=0.0010644005103809826,
+        rpl=1.0, data_sent=400, data_delivered=232,
+        data_dropped=168, data_in_flight=0, routing_tx=127)),
+    (4, 117, 4792, QosMetrics(
+        pdr=0.7075, nrl=0.6183745583038869, e2ed=0.001080839599866664,
+        rpl=1.0, data_sent=400, data_delivered=283,
+        data_dropped=117, data_in_flight=0, routing_tx=175)),
+])
+def test_sampled_tuning_box_configs_reproduce_their_pinned_metrics(index, mac_drops, events,
+                                                                   expected):
+    rng = np.random.default_rng(0)
+    draws = [rng.uniform(LOWER, UPPER) for _ in range(5)]
+    sim = Simulator(catalog()["congested-small"], decode_params(draws[index]), 1)
     assert sim.run() == expected
     assert sim.counters.dropped_mac == mac_drops
     assert sim._insertions == events

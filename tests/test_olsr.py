@@ -225,6 +225,65 @@ def test_hello_reselects_mprs_on_membership_change():
     assert state.routing == {2: (2, 1)}
 
 
+def primed_selection():
+    """A node 1 with symmetric neighbor 2, which reaches strict target 5,
+    and its relay selection and routes already made."""
+    state = NodeState(1, OlsrConfig())
+    state.process_message(hello(2, sym=[1, 5]), 2, 0.0)
+    assert state.mprs == {2} and state.routing == {2: (2, 1)}
+    return state, state._selection
+
+
+def test_hello_that_only_refreshes_keeps_the_selection_and_routes():
+    state, selection = primed_selection()
+    state.process_message(hello(2, sym=[1, 5], seq=2), 2, 1.0)
+    assert state._selection is selection
+    assert state._routing_stale is False
+
+
+def test_hello_of_a_new_one_way_link_keeps_the_selection_and_routes():
+    state, selection = primed_selection()
+    state.process_message(hello(3, sym=[5], willingness=WILL_ALWAYS), 3, 1.0)
+    assert 3 in state.links and not is_symmetric(state, 3)
+    assert state._selection is selection
+    assert state._routing_stale is False
+    # a one-way neighbor's willingness is not read either
+    state.process_message(hello(3, sym=[5], seq=2, willingness=WILL_NEVER), 3, 2.0)
+    assert state._selection is selection
+    assert state._routing_stale is False
+
+
+def test_hello_that_flips_a_strict_target_drops_the_selection():
+    state, _ = primed_selection()
+    state.process_message(hello(2, sym=[1, 5, 6], seq=2), 2, 1.0)
+    assert state._selection is None
+    assert state._routing_stale is False
+    assert state.uncoverable == set() and state.strict_two_hop() == {5: 1 << 2, 6: 1 << 2}
+
+
+def test_willingness_change_of_a_symmetric_neighbor_drops_the_selection():
+    state, _ = primed_selection()
+    state.process_message(hello(2, sym=[1, 5], seq=2, willingness=WILL_NEVER), 2, 1.0)
+    assert state._selection is None
+    assert state._routing_stale is False
+    assert state.mprs == set() and state.uncoverable == {5}
+
+
+def test_hello_that_flips_a_symmetric_neighbor_target_keeps_the_selection():
+    state, _ = primed_selection()
+    # 3 turns symmetric: the symmetric mask changes, so both go stale
+    state.process_message(hello(3, sym=[1]), 3, 1.0)
+    assert state._selection is None and state._routing_stale is True
+    assert state.mprs == {2} and state.routing == {2: (2, 1), 3: (3, 1)}
+    selection = state._selection
+    # 2 now lists 3, which needs no relay: the strict two-hop set is unchanged
+    state.process_message(hello(2, sym=[1, 3, 5], seq=2), 2, 2.0)
+    assert two_hop_pairs(state) == {(2, 3), (2, 5)}
+    assert state._selection is selection
+    assert state._routing_stale is False
+    assert state.strict_two_hop() == {5: 1 << 2}
+
+
 def test_hello_shared_by_receivers_acts_like_a_fresh_message_for_each():
     def tables(state):
         return (state.links, state.two_hop, state.mpr_selectors, state.mprs, state.routing)
@@ -516,6 +575,15 @@ def test_config_rejects_out_of_range_fields(field, value):
     cfg = OlsrConfig(**{field: value})
     with pytest.raises(ValueError, match=field):
         cfg.validate()
+
+
+@pytest.mark.parametrize("field", ["hello_interval", "refresh_interval", "tc_interval",
+                                   "neighb_hold_time", "top_hold_time", "mid_hold_time",
+                                   "dup_hold_time"])
+def test_config_rejects_a_boolean_time(field):
+    # a bool is an int, and True would read as a 1 s time
+    with pytest.raises(ValueError, match=field):
+        OlsrConfig(**{field: True}).validate()
 
 
 def test_config_rejects_a_non_numeric_time():

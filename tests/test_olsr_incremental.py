@@ -45,7 +45,9 @@ def hello_masks(entries):
     return listed, symmetric, mpr
 
 
-# a HELLO usually lists us, so links turn symmetric and two-hop sets matter
+# a HELLO usually lists us, so links turn symmetric and two-hop sets matter;
+# it usually carries its sender's willingness, but now and then another
+# one (None stands for the sender's own)
 hellos = st.tuples(
     st.just("hello"),
     NEIGHBORS,
@@ -53,6 +55,7 @@ hellos = st.tuples(
               st.sampled_from([[], [(SELF, "asym")], [(SELF, "sym")], [(SELF, "mpr")],
                                [(SELF, "mpr")]]),
               st.lists(st.tuples(NODES, CODES), max_size=4)),
+    st.sampled_from([None, None, None, 0, 3, 7]),
 )
 tcs = st.tuples(
     st.just("tc"),
@@ -74,8 +77,9 @@ configs = st.builds(
     st.sampled_from([3.0, 6.0, 20.0]),
     st.sampled_from([3.0, 30.0]),
 )
-# each node advertises one willingness and one validity per message kind,
-# as in a simulation: (willingness, HELLO validity, TC validity)
+# each node advertises one validity per message kind, as in a simulation,
+# and a willingness its HELLOs usually carry: (willingness, HELLO validity,
+# TC validity)
 profiles = st.fixed_dictionaries({
     n: st.tuples(st.sampled_from([0, 3, 3, 7]), st.sampled_from([2.0, 6.0, 15.0]),
                  st.sampled_from([3.0, 15.0]))
@@ -154,8 +158,9 @@ def test_incremental_core_matches_recomputation(config, profile, plan):
             assert removed == (after != before)
             assert state.purge_expired(now) is False
         elif kind == "hello":
-            sender, (listed, symmetric, mpr) = step
-            will, validity, _ = profile[sender]
+            sender, (listed, symmetric, mpr), will = step
+            usual, validity, _ = profile[sender]
+            will = usual if will is None else will
             msg = ControlMessage(HELLO, sender, 1, validity, 1, listed, symmetric, mpr,
                                  willingness=will)
             state.process_message(msg, sender, now)

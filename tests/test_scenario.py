@@ -228,6 +228,25 @@ def test_radio_mac_validation():
         RadioMacParams(processing_delay=-0.1).validate()
 
 
+# non-finite, fractional or boolean values: each would pass a plain sign
+# test, and some make a simulation never end, so none may be simulated
+@pytest.mark.parametrize("field,value", [
+    ("tx_range", math.nan),
+    ("tx_range", math.inf),
+    ("bandwidth", math.inf),
+    ("processing_delay", math.inf),
+    ("processing_delay", math.nan),
+    ("slot_time", math.inf),
+    ("max_retransmissions", 1.5),
+    ("max_retransmissions", True),
+    ("backoff_slots", True),
+    ("backoff_slots", 32.0),
+])
+def test_radio_mac_rejects_non_finite_fractional_and_boolean_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        RadioMacParams(**{field: value}).validate()
+
+
 def build_spec(**overrides):
     base = dict(
         name="tiny",
@@ -247,6 +266,15 @@ def build_spec(**overrides):
     (dict(sessions=[CbrSession(0, 1, 45.0, 10.0)]), "outside"),
     (dict(sessions=[CbrSession(0, 1, 30.0, 10.0, packet_rate=0.0)]), "positive"),
     (dict(duration=0.0), "duration"),
+    (dict(duration=math.inf), "duration"),
+    (dict(duration=math.nan), "duration"),
+    (dict(nodes=True), "nodes"),
+    (dict(sessions=[CbrSession(0, 1, 30.0, 10.0, packet_rate=math.inf)]), "packet_rate"),
+    (dict(sessions=[CbrSession(0, 1, 30.0, 10.0, packet_rate=math.nan)]), "packet_rate"),
+    (dict(sessions=[CbrSession(0, 1, 30.0, 10.0, packet_size=math.inf)]), "packet_size"),
+    (dict(sessions=[CbrSession(0, 1, math.nan, 10.0)]), "start=nan"),
+    (dict(sessions=[CbrSession(0, 1, 30.0, math.nan)]), "session 0: duration=nan"),
+    (dict(radio_mac=RadioMacParams(slot_time=math.inf)), "slot_time"),
 ])
 def test_scenario_validation_errors(overrides, message):
     with pytest.raises(ValueError, match=message):
@@ -267,6 +295,17 @@ def test_scenario_json_round_trip(tmp_path):
     save_scenario(spec, path)
     loaded = load_scenario(path)
     assert loaded == spec
+
+
+def test_load_rejects_a_non_finite_duration(tmp_path):
+    path = tmp_path / "inf.json"
+    save_scenario(build_spec(), path)
+    text = path.read_text()
+    assert '"duration": 50.0' in text
+    # JSON has no infinity, but Python's json module reads and writes one
+    path.write_text(text.replace('"duration": 50.0', '"duration": Infinity'))
+    with pytest.raises(ValueError, match="duration=inf"):
+        load_scenario(path)
 
 
 def test_load_rejects_unknown_format(tmp_path):
