@@ -9,10 +9,16 @@ Campaigns persist one record file per (algorithm, seed) and resume by
 skipping records that already exist, so an interrupted run can simply be
 restarted with the same flags.  ``campaign.json`` is written before the
 first run; a restart that adds algorithms or runs is accepted, but one
-whose objective, scenario, budget, population, base seed or eval seed
-differ from it is refused before any record is written.  The manifest
-describes the whole campaign: every algorithm any invocation named, in
-first-named order, and the most runs any asked for.
+whose scenario, budget, population, base seed or eval seed differ from
+it is refused before any record is written.  The manifest describes the
+whole campaign: every algorithm any invocation named, in first-named
+order, and the most runs any asked for.
+
+Each input has one form.  A scenario is a bundled name or a
+:func:`~olsrlab.scenario.save_scenario` file; a config is a bundled label
+or a campaign's ``.run`` record, whose best config it names by the
+record's file name.  Output goes to ``--outdir``, ``olsrlab-out`` unless
+given; no environment variable is read.
 """
 
 from __future__ import annotations
@@ -30,16 +36,11 @@ from . import scenario as scenario_mod
 from .fitness import COST_WEIGHTS, OlsrObjective, comm_cost
 from .netsim import QosMetrics, run_simulation
 from .olsr import OlsrConfig
-from .optimizers import ALGORITHMS, BENCHMARKS, OptimizerConfig, RunRecord, search
+from .optimizers import ALGORITHMS, OptimizerConfig, RunRecord, search
 from .stats import friedman_mean_ranks, kruskal_wallis, kruskal_wallis_vs_rest, summary_table
 
-CONFIG_FORMAT = "olsrlab-config-v1"
 SIM_REPORT_FORMAT = "olsrlab-sim-report-v1"
 METRIC_FIELDS = ("pdr", "nrl", "e2ed", "rpl")
-
-
-def _default_outdir() -> str:
-    return os.environ.get("OLSRLAB_OUTDIR", "olsrlab-out")
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -58,23 +59,24 @@ def _resolve_scenario(name: str) -> scenario_mod.ScenarioSpec:
     raise ValueError(f"unknown scenario {name!r}; bundled: {', '.join(sorted(cat))}")
 
 
+def _read_record(path: str) -> RunRecord:
+    """A ``.run`` record; a malformed one, or one whose best config cannot
+    run, raises ValueError naming ``path``."""
+    try:
+        with open(path) as fh:
+            record = RunRecord.from_text(fh.read())
+        record.best.config.validate()
+        return record
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _resolve_config(name: str) -> tuple[str, OlsrConfig]:
     named = configs_mod.named_configs()
     if name in named:
         return name, named[name]
     if os.path.exists(name):
-        with open(name) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError(f"{name}: expected a JSON object, got {type(doc).__name__}")
-        if doc.get("format") != CONFIG_FORMAT:
-            raise ValueError(f"{name}: unsupported config format {doc.get('format')!r}")
-        fields = {k: v for k, v in doc.items() if k != "format"}
-        try:
-            config = OlsrConfig(**fields)
-        except TypeError as exc:  # a key OlsrConfig does not have
-            raise ValueError(f"{name}: {exc}") from None
-        return os.path.basename(name), config
+        return os.path.basename(name), _read_record(name).best.config
     raise ValueError(f"unknown config {name!r}; bundled: {', '.join(sorted(named))}")
 
 
@@ -118,13 +120,7 @@ def _campaign_records(records_dir: str) -> dict[str, list[RunRecord]]:
     for name in sorted(os.listdir(records_dir)):
         if not name.endswith(".run"):
             continue
-        path = os.path.join(records_dir, name)
-        with open(path) as fh:
-            text = fh.read()
-        try:
-            record = RunRecord.from_text(text)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        record = _read_record(os.path.join(records_dir, name))
         by_alg.setdefault(record.algorithm, []).append(record)
     for records in by_alg.values():
         records.sort(key=lambda r: r.seed)
@@ -195,7 +191,7 @@ def _write_summary(outdir: str, by_alg: dict[str, list[RunRecord]]) -> dict:
 
 
 # the settings every record of one campaign shares
-CAMPAIGN_KEYS = ("objective", "scenario", "budget", "population", "base_seed", "eval_seed")
+CAMPAIGN_KEYS = ("scenario", "budget", "population", "base_seed", "eval_seed")
 
 
 def _check_same_campaign(path: str, manifest: dict) -> dict | None:
@@ -227,25 +223,19 @@ def cmd_optimize(args) -> int:
     records_dir = os.path.join(outdir, "records")
     manifest_path = os.path.join(outdir, "campaign.json")
 
-    spec = None
-    if args.objective == "sim":
-        spec = _resolve_scenario(args.scenario)
-        objective = OlsrObjective(spec, seeds=(args.eval_seed,))
-    else:
-        objective = BENCHMARKS[args.objective]
+    spec = _resolve_scenario(args.scenario)
+    objective = OlsrObjective(spec, seeds=(args.eval_seed,))
 
     manifest = {
         "format": "olsrlab-campaign-v1",
-        "objective": args.objective,
-        "scenario": spec.name if spec else None,
+        "scenario": spec.name,
         "algorithms": algorithms,
         "runs": args.runs,
         "budget": args.budget,
         "population": args.population,
         "base_seed": args.base_seed,
         "eval_seed": args.eval_seed,
-        # a benchmark objective computes no communication cost
-        "weights": dict(COST_WEIGHTS) if spec else None,
+        "weights": dict(COST_WEIGHTS),
     }
     existing = _check_same_campaign(manifest_path, manifest)
     if existing is not None:
@@ -419,15 +409,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one simulation and print its metrics")
     p.add_argument("--scenario", required=True, help="bundled name or scenario JSON path")
-    p.add_argument("--config", default="rfc3626", help="bundled label or config JSON path")
+    p.add_argument("--config", default="rfc3626",
+                   help="bundled label or .run record path (its best config)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--output", help="write a JSON report here")
     p.add_argument("--event-log", help="write the per-event trace here")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("optimize", help="run an optimization campaign with resume")
-    p.add_argument("--scenario", help="required for the sim objective")
-    p.add_argument("--objective", default="sim", choices=["sim", "sphere", "rastrigin"])
+    p.add_argument("--scenario", required=True,
+                   help="bundled name or scenario JSON path; every evaluation simulates it")
     p.add_argument("--algorithms", default=",".join(ALGORITHMS))
     p.add_argument("--runs", type=positive_int, default=30)
     p.add_argument("--budget", type=int, default=1000)
@@ -436,31 +427,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-seed", type=non_negative_int, default=1)
     p.add_argument("--eval-seed", type=int, default=0,
                    help="simulation seed shared by every evaluation")
-    p.add_argument("--outdir", default=_default_outdir())
+    p.add_argument("--outdir", default="olsrlab-out")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("compare", help="simulate configurations across scenarios")
-    p.add_argument("--configs", help="comma-separated labels or config JSON paths")
+    p.add_argument("--configs", help="comma-separated labels or .run record paths")
     p.add_argument("--runs-dir", help="records directory; adds each algorithm's best config")
     p.add_argument("--scenarios", required=True, help="comma-separated names or paths")
     p.add_argument("--seeds", type=positive_int, default=5, help="simulation seeds per cell")
     p.add_argument("--base-seed", type=int, default=1)
-    p.add_argument("--outdir", default=_default_outdir())
+    p.add_argument("--outdir", default="olsrlab-out")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("report", help="regenerate summaries from persisted records")
     p.add_argument("--records", required=True, help="directory of .run files")
-    p.add_argument("--outdir", default=_default_outdir())
+    p.add_argument("--outdir", default="olsrlab-out")
     p.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "optimize" and args.objective == "sim" \
-            and not args.scenario:
-        parser.error("--scenario is required with the sim objective")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -33,21 +33,6 @@ POPULATION_BASED = ("PSO", "DE", "GA")
 RUN_FORMAT = "olsrlab-run v1"
 
 
-# -- benchmark objectives used for sanity campaigns -----------------------
-
-def sphere(x) -> float:
-    v = np.asarray(x, dtype=float)
-    return float(np.sum(v * v))
-
-
-def rastrigin(x) -> float:
-    v = np.asarray(x, dtype=float)
-    return float(10.0 * v.size + np.sum(v * v - 10.0 * np.cos(2.0 * math.pi * v)))
-
-
-BENCHMARKS = {"sphere": sphere, "rastrigin": rastrigin}
-
-
 # Each algorithm runs at fixed hyperparameters; the step functions take them
 # as keyword defaults so tests can zero a coefficient.
 # PSO
@@ -181,7 +166,7 @@ class _BudgetExhausted(Exception):
 class _Recorder:
     """Wraps the objective, enforces the budget, logs the trajectory, and
     keeps what the objective returned for the first strict minimum: an
-    :class:`Evaluation`, or a bare cost for a benchmark function."""
+    :class:`Evaluation`, or a bare cost."""
 
     def __init__(self, objective, budget: int):
         self.objective = objective

@@ -188,7 +188,12 @@ class MobilityTrace:
             if not points:
                 raise ValueError(f"node {node} has no waypoints")
             last = None
-            for t, x, y in points:
+            for point in points:
+                if not (isinstance(point, tuple) and len(point) == 3
+                        and all(map(_finite, point))):
+                    raise ValueError(f"node {node}: waypoint {point!r} is not three "
+                                     "finite numbers (t, x, y)")
+                t, x, y = point
                 if last is not None and t <= last:
                     raise ValueError(f"node {node}: waypoint times not increasing at t={t}")
                 last = t
@@ -262,6 +267,9 @@ class ScenarioSpec:
     radio_mac: RadioMacParams = field(default_factory=RadioMacParams)
 
     def validate(self) -> "ScenarioSpec":
+        if not (isinstance(self.area, tuple) and len(self.area) == 2
+                and all(_finite(side) and side > 0 for side in self.area)):
+            raise ValueError(f"area={self.area!r} must be two finite positive numbers")
         if not (_finite(self.duration) and self.duration > 0):
             raise ValueError(f"duration={self.duration!r} must be finite and positive")
         if not (_integer(self.nodes) and self.nodes > 0):
@@ -306,12 +314,21 @@ def save_scenario(spec: ScenarioSpec, path) -> None:
 
 
 def load_scenario(path) -> ScenarioSpec:
-    with open(path) as fh:
-        doc = json.load(fh)
+    """Read a :func:`save_scenario` file; any fault in it, a scenario that
+    fails :meth:`ScenarioSpec.validate` included, raises ValueError naming
+    ``path``."""
+    try:
+        with open(path) as fh:
+            return _scenario_from_doc(json.load(fh))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _scenario_from_doc(doc) -> ScenarioSpec:
     if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
     if doc.get("format") != SCENARIO_FORMAT:
-        raise ValueError(f"{path}: unsupported scenario format {doc.get('format')!r}")
+        raise ValueError(f"unsupported scenario format {doc.get('format')!r}")
     try:
         trace = MobilityTrace(
             {int(n): [tuple(p) for p in pts] for n, pts in doc["trace"].items()}
@@ -326,9 +343,9 @@ def load_scenario(path) -> ScenarioSpec:
             radio_mac=RadioMacParams(**doc["radio_mac"]),
         )
     except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from None
+        raise ValueError(f"missing key {exc}") from None
     except (TypeError, AttributeError) as exc:  # an unknown key or a wrong JSON type
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(str(exc)) from None
     return spec.validate()
 
 

@@ -11,6 +11,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import scipy.stats
 
 from olsrlab.olsr import (
@@ -261,3 +262,20 @@ def reference_kruskal(groups):
         return 0.0, 1.0
     h /= correction
     return h, float(scipy.stats.chi2.sf(h, len(groups) - 1))
+
+
+# ---------------------------------------------------------------------------
+# benchmark functions the optimizer tests search on
+# ---------------------------------------------------------------------------
+
+def sphere(x) -> float:
+    v = np.asarray(x, dtype=float)
+    return float(np.sum(v * v))
+
+
+def rastrigin(x) -> float:
+    v = np.asarray(x, dtype=float)
+    return float(10.0 * v.size + np.sum(v * v - 10.0 * np.cos(2.0 * math.pi * v)))
+
+
+BENCHMARKS = {"sphere": sphere, "rastrigin": rastrigin}

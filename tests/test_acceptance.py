@@ -10,7 +10,7 @@ import statistics
 from olsrlab.fitness import OlsrObjective, comm_cost
 from olsrlab.netsim import QosMetrics, run_simulation
 from olsrlab.olsr import NodeState, OlsrConfig, compute_routing_table, select_mprs
-from olsrlab.optimizers import OptimizerConfig, rastrigin, search, sphere
+from olsrlab.optimizers import OptimizerConfig, search
 from olsrlab.scenario import catalog
 from olsrlab.stats import friedman_mean_ranks, kruskal_wallis
 
@@ -21,8 +21,10 @@ from oracles import (
     coverage_sets,
     random_neighborhood,
     random_snapshot,
+    rastrigin,
     reference_friedman,
     reference_kruskal,
+    sphere,
 )
 
 

@@ -1,14 +1,19 @@
 """Command line interface, exercised in process through main(argv)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
 import olsrlab
 from olsrlab.cli import main
+from olsrlab.fitness import COST_WEIGHTS, Evaluation
+from olsrlab.netsim import run_simulation
+from olsrlab.olsr import OlsrConfig
 from olsrlab.optimizers import RunRecord
 from olsrlab.scenario import catalog, save_scenario
 from olsrlab.stats import friedman_mean_ranks, kruskal_wallis, kruskal_wallis_vs_rest
@@ -17,6 +22,15 @@ from olsrlab.stats import friedman_mean_ranks, kruskal_wallis, kruskal_wallis_vs
 def read(path):
     with open(path) as fh:
         return fh.read()
+
+
+def write_record(path, config):
+    """A one-evaluation ``.run`` record whose best config is ``config``."""
+    record = RunRecord(algorithm="PSO", seed=1, trajectory=[(0, -0.5, (0.0,))],
+                       best=Evaluation(config, None, -0.5, 0.0), best_index=0,
+                       time_to_best=0.0, total_time=0.0)
+    path.write_text(record.to_text())
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -67,33 +81,51 @@ def test_simulate_unknown_scenario_lists_the_bundled_names(capsys):
 
 
 def test_simulate_accepts_a_config_file(tmp_path, capsys):
-    cfg = tmp_path / "tuned.json"
-    cfg.write_text(json.dumps({"format": "olsrlab-config-v1",
-                               "hello_interval": 3.0, "tc_interval": 6.0}))
-    rc = main(["simulate", "--scenario", "static-mesh-smoke", "--config", str(cfg)])
+    """A ``.run`` record's best config replays; the file name is its label."""
+    config = OlsrConfig(hello_interval=3.0, tc_interval=6.0)
+    path = write_record(tmp_path / "tuned.run", config)
+    rc = main(["simulate", "--scenario", "congested-small", "--config", str(path),
+               "--seed", "3", "--output", str(tmp_path / "report.json")])
     assert rc == 0
-    assert "config=tuned.json" in capsys.readouterr().out
+    expected = run_simulation(catalog()["congested-small"], config, 3)
+    assert expected != run_simulation(catalog()["congested-small"], OlsrConfig(), 3)
+    stdout = capsys.readouterr().out
+    assert "config=tuned.run seed=3" in stdout
+    assert f"pdr={expected.pdr:.4f} nrl={expected.nrl:.4f}" in stdout
+    report = json.loads(read(tmp_path / "report.json"))
+    assert report["config"] == "tuned.run"
+    assert report["metrics"] == asdict(expected)
 
 
 def test_simulate_rejects_a_mislabeled_config_file(tmp_path, capsys):
+    # the config format of earlier versions is not a run record
     cfg = tmp_path / "odd.json"
-    cfg.write_text(json.dumps({"format": "other-v2", "hello_interval": 3.0}))
-    assert main(["simulate", "--scenario", "static-mesh-smoke",
-                 "--config", str(cfg)]) == 2
-    assert "format" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("doc,named", [
-    ({"format": "olsrlab-config-v1", "hello_intervl": 3.0}, "hello_intervl"),
-    (["olsrlab-config-v1", 3.0], "list"),
-])
-def test_simulate_rejects_a_malformed_config_file(tmp_path, capsys, doc, named):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(doc))
+    cfg.write_text(json.dumps({"format": "olsrlab-config-v1", "hello_interval": 3.0}))
     assert main(["simulate", "--scenario", "static-mesh-smoke",
                  "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith(f"error: {cfg}: ")
+    assert "format" in err
+
+
+@pytest.mark.parametrize("doc,named", [
+    ({"hello_intervl": 3.0}, "hello_intervl"),
+    ([3.0], "list"),
+    (None, "best_config"),  # the key removed
+])
+def test_simulate_rejects_a_malformed_config_file(tmp_path, capsys, doc, named):
+    path = write_record(tmp_path / "bad.run", OlsrConfig())
+    if doc is None:
+        path.write_text(_without_best_config(read(path)))
+    else:
+        lines = read(path).splitlines()
+        summary = json.loads(lines[-1])
+        summary["best_config"] = doc
+        path.write_text("\n".join(lines[:-1] + [json.dumps(summary)]) + "\n")
+    assert main(["simulate", "--scenario", "static-mesh-smoke",
+                 "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
     assert named in err
 
 
@@ -102,10 +134,35 @@ def misspell_a_session_key(doc):
     return doc
 
 
+def node_1_moves_to(waypoint):
+    def edit(doc):
+        doc["trace"]["1"] = [[0.0, 90.0, 20.0], waypoint]
+        return doc
+    return edit
+
+
+def set_key(key, value):
+    def edit(doc):
+        doc[key] = value
+        return doc
+    return edit
+
+
+def rename_node_1(doc):
+    doc["trace"]["x"] = doc["trace"].pop("1")
+    return doc
+
+
 @pytest.mark.parametrize("edit,named", [
     (misspell_a_session_key, "sourc"),
     (lambda doc: {k: v for k, v in doc.items() if k != "trace"}, "trace"),
     (lambda doc: [doc], "list"),
+    pytest.param(node_1_moves_to([math.nan, 20, 20]), "node 1", id="nan-waypoint"),
+    pytest.param(node_1_moves_to([math.inf, 20, 20]), "node 1", id="infinite-waypoint"),
+    pytest.param(node_1_moves_to("abc"), "node 1", id="string-waypoint"),
+    pytest.param(node_1_moves_to([5.0, 20]), "node 1", id="two-element-waypoint"),
+    pytest.param(set_key("area", ["wide", "deep"]), "area", id="string-area"),
+    pytest.param(rename_node_1, "'x'", id="trace-key-x"),
 ])
 def test_simulate_rejects_a_malformed_scenario_file(tmp_path, capsys, edit, named):
     path = tmp_path / "mesh.json"
@@ -113,23 +170,22 @@ def test_simulate_rejects_a_malformed_scenario_file(tmp_path, capsys, edit, name
     path.write_text(json.dumps(edit(json.loads(read(path)))))
     assert main(["simulate", "--scenario", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith(f"error: {path}: ")
     assert named in err
 
 
 def test_simulate_runs_any_runnable_config_and_has_no_waiver_flag(tmp_path, capsys):
     """No waiver flag: configs outside the tuning box run, unrunnable ones fail."""
-    cfg = tmp_path / "subsecond.json"
-    cfg.write_text(json.dumps({"format": "olsrlab-config-v1",
-                               "hello_interval": 0.5, "refresh_interval": 0.5,
-                               "neighb_hold_time": 1.5}))
+    cfg = write_record(tmp_path / "subsecond.run",
+                       OlsrConfig(hello_interval=0.5, refresh_interval=0.5,
+                                  neighb_hold_time=1.5))
     assert main(["simulate", "--scenario", "static-mesh-smoke",
                  "--config", str(cfg)]) == 0
-    zero = tmp_path / "zero.json"
-    zero.write_text(json.dumps({"format": "olsrlab-config-v1", "hello_interval": 0}))
+    zero = write_record(tmp_path / "zero.run", OlsrConfig(hello_interval=0))
     assert main(["simulate", "--scenario", "static-mesh-smoke",
                  "--config", str(zero)]) == 2
-    assert "hello_interval" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {zero}: ") and "hello_interval" in err
     assert main(["compare", "--configs", str(cfg), "--scenarios", "static-mesh-smoke",
                  "--seeds", "1", "--outdir", str(tmp_path / "cmp")]) == 0
     capsys.readouterr()
@@ -142,9 +198,12 @@ def test_simulate_runs_any_runnable_config_and_has_no_waiver_flag(tmp_path, caps
 
 @pytest.mark.parametrize("argv,flag", [
     (["simulate", "--scenario", "static-mesh-smoke", "--weights", "1,0,0"], "--weights"),
-    (["optimize", "--objective", "sphere", "--weights", "1,0,0"], "--weights"),
+    (["optimize", "--scenario", "static-mesh-smoke", "--weights", "1,0,0"], "--weights"),
     (["report", "--records", "records", "--format", "json"], "--format"),
-], ids=["simulate", "optimize", "report"])
+    # every campaign simulates a scenario; no benchmark function stands in
+    (["optimize", "--scenario", "static-mesh-smoke", "--objective", "sphere"],
+     "--objective"),
+], ids=["simulate", "optimize", "report", "objective"])
 def test_the_cost_weights_and_report_formats_are_not_options(capsys, argv, flag):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
@@ -157,7 +216,7 @@ def test_the_cost_weights_and_report_formats_are_not_options(capsys, argv, flag)
 # ---------------------------------------------------------------------------
 
 def run_tiny_campaign(outdir):
-    return main(["optimize", "--objective", "sphere", "--algorithms", "RAND,SA",
+    return main(["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND,SA",
                  "--runs", "2", "--budget", "4", "--outdir", str(outdir)])
 
 
@@ -175,8 +234,9 @@ def test_optimize_campaign_layout(tmp_path, capsys):
     manifest = json.loads(read(outdir / "campaign.json"))
     assert manifest["format"] == "olsrlab-campaign-v1"
     assert manifest["algorithms"] == ["RAND", "SA"]
-    # sphere computes no communication cost, so no cost weights apply
-    assert manifest["weights"] is None
+    assert manifest["scenario"] == "static-mesh-smoke"
+    assert manifest["weights"] == dict(COST_WEIGHTS)
+    assert "objective" not in manifest
     assert manifest["records"] == records
 
     summary = json.loads(read(outdir / "summary.json"))
@@ -246,15 +306,18 @@ def test_a_malformed_record_is_an_error_naming_its_file(tmp_path, capsys, corrup
 
 
 @pytest.mark.parametrize("flags,keys", [
-    (["--objective", "rastrigin", "--budget", "50"], ["objective", "budget"]),
-    (["--objective", "sphere", "--budget", "5", "--population", "4"], ["population"]),
-    (["--objective", "sphere", "--budget", "5", "--eval-seed", "3"], ["eval_seed"]),
-    (["--objective", "sphere", "--budget", "5", "--base-seed", "5"], ["base_seed"]),
+    (["--scenario", "congested-small", "--budget", "50"], ["scenario", "budget"]),
+    (["--scenario", "static-mesh-smoke", "--budget", "5", "--population", "4"],
+     ["population"]),
+    (["--scenario", "static-mesh-smoke", "--budget", "5", "--eval-seed", "3"],
+     ["eval_seed"]),
+    (["--scenario", "static-mesh-smoke", "--budget", "5", "--base-seed", "5"],
+     ["base_seed"]),
 ])
 def test_optimize_refuses_to_resume_a_campaign_with_other_settings(tmp_path, capsys,
                                                                    flags, keys):
     outdir = tmp_path / "camp"
-    assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND",
+    assert main(["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND",
                  "--runs", "2", "--budget", "5", "--outdir", str(outdir)]) == 0
     manifest = read(outdir / "campaign.json")
     capsys.readouterr()
@@ -273,19 +336,19 @@ def test_optimize_refuses_to_resume_a_campaign_with_other_settings(tmp_path, cap
 
 def test_optimize_settings_a_search_rejects_leave_no_campaign_behind(tmp_path, capsys):
     outdir = tmp_path / "camp"
-    assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND,GA",
+    assert main(["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND,GA",
                  "--runs", "1", "--budget", "5", "--outdir", str(outdir)]) == 2
     assert "full generation" in capsys.readouterr().err
     assert not outdir.exists()
-    assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND,GA",
+    assert main(["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND,GA",
                  "--runs", "1", "--budget", "10", "--outdir", str(outdir)]) == 0
 
 
 def test_optimize_resume_may_add_algorithms_and_runs(tmp_path, capsys):
     outdir = tmp_path / "camp"
-    assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND",
+    assert main(["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND",
                  "--runs", "1", "--budget", "4", "--outdir", str(outdir)]) == 0
-    assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND,SA",
+    assert main(["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND,SA",
                  "--runs", "2", "--budget", "4", "--outdir", str(outdir)]) == 0
     assert "campaign: 3 new runs, 4 total" in capsys.readouterr().out
     manifest = json.loads(read(outdir / "campaign.json"))
@@ -298,9 +361,9 @@ def test_optimize_manifest_describes_the_whole_campaign_on_resume(tmp_path, caps
     # campaign.json; one with another base seed would mix seed ranges, so
     # it is refused and names the key
     outdir = tmp_path / "camp"
-    assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND,SA",
+    assert main(["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND,SA",
                  "--runs", "3", "--budget", "4", "--outdir", str(outdir)]) == 0
-    assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND",
+    assert main(["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND",
                  "--runs", "2", "--budget", "4", "--outdir", str(outdir)]) == 0
     manifest = json.loads(read(outdir / "campaign.json"))
     assert manifest["algorithms"] == ["RAND", "SA"]
@@ -309,7 +372,7 @@ def test_optimize_manifest_describes_the_whole_campaign_on_resume(tmp_path, caps
     assert len(manifest["records"]) == 6
     capsys.readouterr()
 
-    assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND",
+    assert main(["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND",
                  "--runs", "2", "--budget", "4", "--base-seed", "5",
                  "--outdir", str(outdir)]) == 2
     assert "base_seed 1 != 5" in capsys.readouterr().err
@@ -320,7 +383,7 @@ def test_optimize_manifest_describes_the_whole_campaign_on_resume(tmp_path, caps
 
 def test_optimize_single_run_skips_the_rank_tests(tmp_path):
     outdir = tmp_path / "solo"
-    assert main(["optimize", "--objective", "rastrigin", "--algorithms", "RAND",
+    assert main(["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND",
                  "--runs", "1", "--budget", "3", "--outdir", str(outdir)]) == 0
     summary = json.loads(read(outdir / "summary.json"))
     assert summary["friedman"] is None
@@ -331,9 +394,9 @@ def test_optimize_ranks_algorithms_with_unequal_run_counts(tmp_path):
     # RAND ends with 5 runs and SA with 3: Kruskal-Wallis takes every run,
     # and Friedman the 3 seeds both ran, which summary.json counts
     outdir = tmp_path / "camp"
-    assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND,SA",
+    assert main(["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND,SA",
                  "--runs", "3", "--budget", "4", "--outdir", str(outdir)]) == 0
-    assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND",
+    assert main(["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND",
                  "--runs", "5", "--budget", "4", "--outdir", str(outdir)]) == 0
     records = {}
     for name in sorted(os.listdir(outdir / "records")):
@@ -360,7 +423,7 @@ def test_optimize_ranks_algorithms_with_unequal_run_counts(tmp_path):
 
 def test_optimize_with_the_simulation_objective_stores_metrics(tmp_path):
     outdir = tmp_path / "sim"
-    rc = main(["optimize", "--objective", "sim", "--scenario", "static-mesh-smoke",
+    rc = main(["optimize", "--scenario", "static-mesh-smoke",
                "--algorithms", "RAND", "--runs", "1", "--budget", "3",
                "--eval-seed", "1", "--outdir", str(outdir)])
     assert rc == 0
@@ -371,14 +434,55 @@ def test_optimize_with_the_simulation_objective_stores_metrics(tmp_path):
     assert manifest["weights"] == {"e2ed": 0.3, "nrl": 0.2, "pdr": 0.5}
 
 
-def test_optimize_sim_objective_requires_a_scenario():
-    with pytest.raises(SystemExit):
-        main(["optimize", "--objective", "sim", "--runs", "1", "--budget", "3"])
+def test_optimize_sim_objective_requires_a_scenario(tmp_path, capsys):
+    outdir = tmp_path / "camp"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["optimize", "--runs", "1", "--budget", "3", "--outdir", str(outdir)])
+    assert exit_info.value.code == 2
+    assert "the following arguments are required: --scenario" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def pre_change_manifest(**settings):
+    """campaign.json as written before the objective key was dropped."""
+    return {"format": "olsrlab-campaign-v1", "algorithms": ["RAND"], "runs": 1,
+            "budget": 4, "population": 10, "base_seed": 1, "eval_seed": 0,
+            "records": [], **settings}
+
+
+def test_optimize_refuses_to_resume_a_benchmark_campaign(tmp_path, capsys):
+    # a sphere campaign of earlier versions has no scenario; its records
+    # must not be mixed with simulated ones
+    outdir = tmp_path / "camp"
+    (outdir / "records").mkdir(parents=True)
+    manifest = json.dumps(pre_change_manifest(objective="sphere", scenario=None,
+                                              weights=None))
+    (outdir / "campaign.json").write_text(manifest)
+    assert main(["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND",
+                 "--runs", "1", "--budget", "4", "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario None != 'static-mesh-smoke'" in err
+    assert os.listdir(outdir / "records") == []
+    assert read(outdir / "campaign.json") == manifest
+
+
+def test_optimize_resumes_a_simulation_campaign_that_names_its_objective(tmp_path, capsys):
+    outdir = tmp_path / "camp"
+    argv = ["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND",
+            "--runs", "1", "--budget", "4", "--outdir", str(outdir)]
+    assert main(argv) == 0
+    (outdir / "campaign.json").write_text(json.dumps(pre_change_manifest(
+        objective="sim", scenario="static-mesh-smoke", weights=dict(COST_WEIGHTS),
+        records=["RAND-seed000001.run"])))
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "campaign: 0 new runs, 1 total" in capsys.readouterr().out
+    assert "objective" not in json.loads(read(outdir / "campaign.json"))
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (["optimize", "--objective", "sphere", "--runs", "0"], "--runs"),
-    (["optimize", "--objective", "sphere", "--runs", "-2"], "--runs"),
+    (["optimize", "--scenario", "static-mesh-smoke", "--runs", "0"], "--runs"),
+    (["optimize", "--scenario", "static-mesh-smoke", "--runs", "-2"], "--runs"),
     (["compare", "--configs", "rfc3626", "--scenarios", "static-mesh-smoke",
       "--seeds", "0"], "--seeds"),
 ], ids=["runs-0", "runs-negative", "seeds-0"])
@@ -397,8 +501,8 @@ def test_optimize_refuses_a_negative_base_seed_and_keeps_the_outdir_usable(tmp_p
     # numpy refuses a negative seed; the flag is refused before campaign.json
     # would fix it, so the same --outdir still takes a valid campaign
     outdir = tmp_path / "camp"
-    argv = ["optimize", "--objective", "sphere", "--algorithms", "RAND", "--runs", "1",
-            "--budget", "2", "--outdir", str(outdir)]
+    argv = ["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND",
+            "--runs", "1", "--budget", "2", "--outdir", str(outdir)]
     with pytest.raises(SystemExit) as exit_info:
         main(argv + ["--base-seed", "-3"])
     assert exit_info.value.code == 2
@@ -410,14 +514,15 @@ def test_optimize_refuses_a_negative_base_seed_and_keeps_the_outdir_usable(tmp_p
 
 def test_optimize_drops_a_repeated_algorithm(tmp_path, capsys):
     outdir = tmp_path / "camp"
-    assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND,SA,rand",
-                 "--runs", "1", "--budget", "4", "--outdir", str(outdir)]) == 0
+    assert main(["optimize", "--scenario", "static-mesh-smoke",
+                 "--algorithms", "RAND,SA,rand", "--runs", "1", "--budget", "4",
+                 "--outdir", str(outdir)]) == 0
     assert "campaign: 2 new runs, 2 total" in capsys.readouterr().out
     assert json.loads(read(outdir / "campaign.json"))["algorithms"] == ["RAND", "SA"]
 
 
 def test_optimize_rejects_unknown_algorithms(tmp_path, capsys):
-    rc = main(["optimize", "--objective", "sphere", "--algorithms", "CMAES",
+    rc = main(["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "CMAES",
                "--runs", "1", "--budget", "3", "--outdir", str(tmp_path / "x")])
     assert rc == 2
     assert "unknown algorithm" in capsys.readouterr().err
@@ -543,7 +648,7 @@ import sys
 from olsrlab.cli import main
 out = sys.argv[1]
 assert main(["simulate", "--scenario", "static-mesh-smoke", "--seed", "1"]) == 0
-assert main(["optimize", "--objective", "sphere", "--algorithms", "RAND,SA",
+assert main(["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND,SA",
              "--runs", "2", "--budget", "4", "--outdir", out + "/camp"]) == 0
 assert main(["report", "--records", out + "/camp/records", "--outdir", out + "/rep"]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))

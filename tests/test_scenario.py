@@ -42,6 +42,21 @@ def test_trace_validate_enforces_node_set_bounds_and_time_order():
         MobilityTrace({0: [(0.0, 1.0, 1.0)], 1: []}).validate()
 
 
+@pytest.mark.parametrize("point", [
+    (math.nan, 20.0, 20.0),
+    (math.inf, 20.0, 20.0),
+    (5.0, math.nan, 20.0),
+    ("abc", 20.0, 20.0),
+    (5.0, True, 20.0),
+    (5.0, 20.0),
+    [5.0, 20.0, 20.0],
+], ids=["nan-time", "inf-time", "nan-x", "string", "bool", "two-numbers", "list"])
+def test_trace_validate_refuses_a_waypoint_that_is_not_three_finite_numbers(point):
+    trace = MobilityTrace({0: [(0.0, 10.0, 10.0)], 1: [(0.0, 90.0, 20.0), point]})
+    with pytest.raises(ValueError, match=r"^node 1: waypoint .* three finite numbers"):
+        trace.validate()
+
+
 def test_position_interpolates_and_clamps():
     points = [(10.0, 0.0, 0.0), (20.0, 100.0, 50.0)]
     assert position_at(points, 0.0) == (0.0, 0.0)       # before the trace
@@ -275,6 +290,10 @@ def build_spec(**overrides):
     (dict(sessions=[CbrSession(0, 1, math.nan, 10.0)]), "start=nan"),
     (dict(sessions=[CbrSession(0, 1, 30.0, math.nan)]), "session 0: duration=nan"),
     (dict(radio_mac=RadioMacParams(slot_time=math.inf)), "slot_time"),
+    (dict(area=("100", "100")), "area"),
+    (dict(area=(100.0, math.inf)), "area"),
+    (dict(area=(100.0, 0.0)), "area"),
+    (dict(area=(100.0,)), "area"),
 ])
 def test_scenario_validation_errors(overrides, message):
     with pytest.raises(ValueError, match=message):

@@ -7,7 +7,7 @@ import warnings
 import pytest
 import scipy.stats
 
-from olsrlab.optimizers import OptimizerConfig, search, sphere
+from olsrlab.optimizers import OptimizerConfig, search
 from olsrlab.stats import (
     AlgorithmSummary,
     _chi2_sf,
@@ -18,7 +18,7 @@ from olsrlab.stats import (
     summary_table,
 )
 
-from oracles import reference_friedman, reference_kruskal
+from oracles import reference_friedman, reference_kruskal, sphere
 
 
 def random_matrix(rng):
