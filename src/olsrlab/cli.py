@@ -72,11 +72,13 @@ def _read_record(path: str) -> RunRecord:
 
 
 def _resolve_config(name: str) -> tuple[str, OlsrConfig]:
+    """A bundled config by its name, or a ``.run`` record's best config
+    labelled by its path as given."""
     named = configs_mod.named_configs()
     if name in named:
         return name, named[name]
     if os.path.exists(name):
-        return os.path.basename(name), _read_record(name).best.config
+        return name, _read_record(name).best.config
     raise ValueError(f"unknown config {name!r}; bundled: {', '.join(sorted(named))}")
 
 
@@ -200,7 +202,10 @@ def _check_same_campaign(path: str, manifest: dict) -> dict | None:
     if not os.path.exists(path):
         return None
     with open(path) as fh:
-        existing = json.load(fh)
+        try:
+            existing = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(existing, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(existing).__name__}")
     differing = [f"{key} {existing.get(key)!r} != {manifest[key]!r}"

@@ -63,16 +63,8 @@ from .scenario import ScenarioSpec
 
 DATA_TTL_HOPS = 64   # hop budget for data packets
 
-EVENT_ORDER = {
-    "frame-arrival": 0,
-    "frame-send": 1,
-    "frame-txend": 2,
-    "periodic-emit": 3,
-    "cbr-send": 4,
-    "sim-end": 5,
-}
-_ARRIVAL_ORDER = EVENT_ORDER["frame-arrival"]
-_CBR_ORDER = EVENT_ORDER["cbr-send"]
+# event kinds, each its own tie-break precedence
+FRAME_ARRIVAL, FRAME_SEND, FRAME_TXEND, PERIODIC_EMIT, CBR_SEND, SIM_END = range(6)
 
 
 @dataclass(frozen=True)
@@ -141,11 +133,10 @@ class DataPacket:
 
 
 class Frame:
-    __slots__ = ("payload", "transmitter", "dest", "size_bytes", "attempts", "is_control")
+    __slots__ = ("payload", "dest", "size_bytes", "attempts", "is_control")
 
-    def __init__(self, payload, transmitter: int, dest: int | None, size_bytes: int):
+    def __init__(self, payload, dest: int | None, size_bytes: int):
         self.payload = payload            # ControlMessage or DataPacket
-        self.transmitter = transmitter
         self.dest = dest                  # None = broadcast
         self.size_bytes = size_bytes
         self.attempts = 0
@@ -206,17 +197,18 @@ class Simulator:
 
     # -- event plumbing -------------------------------------------------
 
-    def _schedule(self, time: float, kind: str, subject: int, payload=None) -> None:
-        heapq.heappush(self._heap, (time, EVENT_ORDER[kind], subject, self._insertions,
-                                    kind, payload))
+    def _schedule(self, time: float, kind: int, subject: int, payload=None) -> None:
+        # (time, kind, subject, insertion index) is unique, so the payload
+        # is never compared
+        heapq.heappush(self._heap, (time, kind, subject, self._insertions, payload))
         self._insertions += 1
 
     def _schedule_arrivals(self, time: float, receivers: list[int], payload) -> None:
         """Schedule one frame's arrivals at ``receivers`` (ascending, not
         empty) as one reception set, taking one insertion index each."""
         first = self._insertions
-        heapq.heappush(self._heap, (time, _ARRIVAL_ORDER, receivers[0], first,
-                                    "frame-arrival", (receivers, payload)))
+        heapq.heappush(self._heap, (time, FRAME_ARRIVAL, receivers[0], first,
+                                    (receivers, payload)))
         self._insertions = first + len(receivers)
 
     def _tied_arrivals(self, time: float, first: int, receivers: list[int], payload):
@@ -226,8 +218,8 @@ class Simulator:
         would run: by receiver id, then insertion index."""
         heap = self._heap
         arrivals = [(r, first + i, payload) for i, r in enumerate(receivers)]
-        while heap and heap[0][0] == time and heap[0][1] == _ARRIVAL_ORDER:
-            _, _, _, first, _, (receivers, payload) = heapq.heappop(heap)
+        while heap and heap[0][0] == time and heap[0][1] == FRAME_ARRIVAL:
+            _, _, _, first, (receivers, payload) = heapq.heappop(heap)
             arrivals.extend((r, first + i, payload) for i, r in enumerate(receivers))
         arrivals.sort(key=lambda arrival: arrival[:2])
         return arrivals
@@ -247,8 +239,7 @@ class Simulator:
         """
         t = session.send_time(k)
         if t is not None:
-            heapq.heappush(self._heap, (t, _CBR_ORDER, session.source, si, "cbr-send",
-                                        (si, k, session)))
+            heapq.heappush(self._heap, (t, CBR_SEND, session.source, si, (si, k, session)))
             self._insertions += 1
 
     # -- run loop ---------------------------------------------------------
@@ -257,26 +248,27 @@ class Simulator:
         duration = self.scenario.duration
         self._candidates = self.scenario.trace.receiver_candidates(self._tx_range)
         for node in self.nodes.values():
-            self._schedule(node.state.next_emission(), "periodic-emit", node.node_id)
+            self._schedule(node.state.next_emission(), PERIODIC_EMIT, node.node_id)
         for si, session in enumerate(self.scenario.sessions):
             self._schedule_cbr(si, 0, session)
-        self._schedule(duration, "sim-end", -1)
+        self._schedule(duration, SIM_END, -1)
 
-        handlers = {kind: getattr(self, "_on_" + kind.replace("-", "_"))
-                    for kind in EVENT_ORDER if kind != "sim-end"}
-        arrival = handlers["frame-arrival"]
+        # one handler per kind, in kind order; SIM_END ends the loop instead
+        handlers = (self._on_frame_arrival, self._on_frame_send, self._on_frame_txend,
+                    self._on_periodic_emit, self._on_cbr_send)
+        arrival = handlers[FRAME_ARRIVAL]
         heap, pop = self._heap, heapq.heappop
         while heap:
-            time, order, subject, first, kind, payload = pop(heap)
+            time, kind, subject, first, payload = pop(heap)
             self.now = time
-            if order == _ARRIVAL_ORDER:
-                if heap and heap[0][0] == time and heap[0][1] == _ARRIVAL_ORDER:
+            if kind == FRAME_ARRIVAL:
+                if heap and heap[0][0] == time and heap[0][1] == FRAME_ARRIVAL:
                     for receiver, _, shared in self._tied_arrivals(time, first, *payload):
                         arrival((receiver,), shared)
                 else:
                     arrival(*payload)
-            elif kind == "sim-end":
-                self._log(subject, kind, "")
+            elif kind == SIM_END:
+                self._log(subject, "sim-end", "")
                 break
             else:
                 handlers[kind](subject, payload)
@@ -289,10 +281,10 @@ class Simulator:
         node.state.purge_expired(self.now)
         messages = node.state.emit_periodic(self.now, self.rng)
         for msg in messages:
-            self._enqueue(node, Frame(msg, node_id, None, msg.size_bytes))
+            self._enqueue(node, Frame(msg, None, msg.size_bytes))
             if self._event_log is not None:
                 self._log(node_id, "periodic-emit", f"{msg.kind} seq={msg.seq}")
-        self._schedule(node.state.next_emission(), "periodic-emit", node_id)
+        self._schedule(node.state.next_emission(), PERIODIC_EMIT, node_id)
 
     def _on_cbr_send(self, source: int, payload) -> None:
         si, k, session = payload
@@ -334,7 +326,7 @@ class Simulator:
                 busy_until = tx.end
         if busy_until > 0.0:
             self._schedule(busy_until + self.rng.uniform(0.0, self._backoff_window),
-                           "frame-send", node_id)
+                           FRAME_SEND, node_id)
             return
         start = now + self.rng.uniform(0.0, self._backoff_window)
         end = start + frame.size_bytes * 8.0 / self._bandwidth
@@ -343,7 +335,7 @@ class Simulator:
             self.counters.routing_tx += 1
         tx = _Transmission(node_id, start, end, frame, trace.position(node_id, start))
         self._transmissions.append(tx)
-        self._schedule(end, "frame-txend", node_id, tx)
+        self._schedule(end, FRAME_TXEND, node_id, tx)
 
     def _on_frame_txend(self, node_id: int, tx: _Transmission) -> None:
         frame = tx.frame
@@ -377,7 +369,7 @@ class Simulator:
                                         (frame.payload, node_id))
                 self._finish_frame(self.nodes[node_id])
             elif frame.attempts <= self._max_retransmissions:
-                self._schedule(now, "frame-send", node_id)
+                self._schedule(now, FRAME_SEND, node_id)
             else:
                 if not frame.is_control:
                     self.counters.dropped_mac += 1
@@ -410,7 +402,7 @@ class Simulator:
     def _finish_frame(self, node: _SimNode) -> None:
         node.current = node.queue.pop(0) if node.queue else None
         if node.current is not None:
-            self._schedule(self.now, "frame-send", node.node_id)
+            self._schedule(self.now, FRAME_SEND, node.node_id)
 
     def _on_frame_arrival(self, receivers, payload) -> None:
         """Hand one frame to each of ``receivers`` in order: purge the
@@ -431,7 +423,7 @@ class Simulator:
                               f"{message.kind} from={sender} origin={message.originator}")
                 if forward:
                     copy = message.forwarded_copy()
-                    self._enqueue(node, Frame(copy, receiver, None, copy.size_bytes))
+                    self._enqueue(node, Frame(copy, None, copy.size_bytes))
         else:
             (receiver,) = receivers
             nodes[receiver].state.purge_expired(now)
@@ -468,12 +460,12 @@ class Simulator:
                           f"drop-no-route uid={packet.uid[0]}:{packet.uid[1]}")
             return
         next_hop = route[0]
-        self._enqueue(node, Frame(packet, at, next_hop, packet.size_bytes))
+        self._enqueue(node, Frame(packet, next_hop, packet.size_bytes))
 
     def _enqueue(self, node: _SimNode, frame: Frame) -> None:
         if node.current is None:
             node.current = frame
-            self._schedule(self.now, "frame-send", node.node_id)
+            self._schedule(self.now, FRAME_SEND, node.node_id)
         else:
             node.queue.append(frame)
 

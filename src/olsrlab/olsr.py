@@ -126,29 +126,23 @@ class ControlMessage:
                               self.mpr_listed, self.willingness)
 
 
-class MprSelection(NamedTuple):
-    mprs: frozenset
-    uncoverable: frozenset
+def select_mprs(will: dict, cover) -> int:
+    """Pick a relay set covering every strict two-hop neighbor; return its mask.
 
-
-def select_mprs(symmetric_neighbors, cover) -> MprSelection:
-    """Pick a relay set covering every strict two-hop neighbor.
-
-    symmetric_neighbors: iterable of (node id, willingness) pairs.
+    will: symmetric neighbor id -> willingness.
     cover: mapping of two-hop target -> bit mask of the neighbors that reach
     it (bit n for node n, as :meth:`NodeState.strict_two_hop` returns); every
     such neighbor must be symmetric.  Targets that are themselves symmetric
     neighbors need no relay and are skipped.
 
     Neighbors with willingness 7 are always relays; willingness 0 is never
-    selected.  Targets that only willingness-0 neighbors reach come back in
-    ``uncoverable`` instead of being dropped silently.  The heuristic first
-    takes sole covers, then repeatedly the neighbor covering the most still
-    uncovered targets, ties broken by higher willingness then lower id.  Only
-    neighbors that cover an uncovered target are scored, since the winner
-    always covers at least one.
+    selected, so a target that only willingness-0 neighbors reach stays
+    uncovered.  The heuristic first takes sole covers, then repeatedly the
+    neighbor covering the most still uncovered targets, ties broken by
+    higher willingness then lower id.  Only neighbors that cover an
+    uncovered target are scored, since the winner always covers at least
+    one.
     """
-    will = dict(symmetric_neighbors)
     symmetric = willing = always = 0
     for n, w in will.items():
         bit = 1 << n
@@ -159,17 +153,12 @@ def select_mprs(symmetric_neighbors, cover) -> MprSelection:
                 always |= bit
 
     usable: dict = {}  # strict target -> willing vias
-    uncoverable = []
     for target, vias in cover.items():
         if vias & ~symmetric:
             stray = next(_ids(vias & ~symmetric))
             raise ValueError(f"two-hop via {stray!r} is not a symmetric neighbor")
-        if target in will:
-            continue
-        if vias & willing:
+        if target not in will and vias & willing:
             usable[target] = vias & willing
-        else:
-            uncoverable.append(target)
 
     mprs = always
     uncovered = [t for t, vias in usable.items() if not vias & mprs]
@@ -194,7 +183,7 @@ def select_mprs(symmetric_neighbors, cover) -> MprSelection:
         best = max(_ids(counts[-1]), key=will.__getitem__)
         mprs |= 1 << best
         uncovered = [t for t in uncovered if not usable[t] >> best & 1]
-    return MprSelection(frozenset(_ids(mprs)), frozenset(uncoverable))
+    return mprs
 
 
 def _ids(mask: int):
@@ -257,8 +246,7 @@ class NodeState:
       outside ``symmetric`` in a symmetric sender's bucket, as RFC 3626
       section 8.3.1 asks.  A refresh, a one-way link or a bucket change
       of a target that is itself a symmetric neighbor keeps it.  Once
-      dropped it is selected again when next read (``mprs``,
-      ``uncoverable``).
+      dropped it is selected again when ``mprs`` is next read.
     * The routing table reads exactly the ``symmetric`` mask and the
       topology buckets.  A change to ``symmetric`` or to a topology
       bucket's destinations marks it stale, and reading ``routing``
@@ -288,14 +276,14 @@ class NodeState:
         # the transpose of two_hop: target -> mask of the neighbors whose
         # bucket lists it; no mask is zero
         self._two_hop_vias: dict[int, int] = {}
-        # the MPR selection; None until made, and again once one of its
-        # inputs changes (see the class docstring)
-        self._selection: MprSelection | None = None
+        # the mask of the selected relays; None until made, and again once
+        # one of its inputs changes (see the class docstring)
+        self._selection: int | None = None
         # neighbor id -> expiry
         self.mpr_selectors: dict[int, float] = {}
-        # last hop (TC originator) -> (destinations mask, seq, expiry); no
-        # mask is zero
-        self.topology: dict[int, tuple[int, int, float]] = {}
+        # last hop (TC originator) -> (destinations mask, expiry); no mask
+        # is zero
+        self.topology: dict[int, tuple[int, float]] = {}
         # highest sequence number seen per TC originator
         self._topo_seq: dict[int, int] = {}
         # (originator, seq) of a forwarded TC -> expiry, nondecreasing in
@@ -332,14 +320,11 @@ class NodeState:
         return cover
 
     @property
-    def mprs(self):
-        """The selected relays, ``MprSelection.mprs``."""
-        return self._mpr_selection().mprs
-
-    @property
-    def uncoverable(self):
-        """The strict two-hop targets no willing neighbor reaches."""
-        return self._mpr_selection().uncoverable
+    def mprs(self) -> int:
+        """The mask of the selected relays, selected again when stale."""
+        if self._selection is None:
+            self._selection = select_mprs(self.symmetric_neighbors(), self.strict_two_hop())
+        return self._selection
 
     @property
     def routing(self) -> dict[int, tuple[int, int]]:
@@ -422,17 +407,32 @@ class NodeState:
         return True
 
     def _apply_tc(self, msg: ControlMessage, now: float) -> bool:
-        """Return whether the originator's advertised destinations changed."""
+        """Apply a TC's advertisement; return whether the originator's
+        advertised destinations changed.
+
+        A TC whose seq is above every seq seen from its originator replaces
+        the originator's bucket, and any other TC is ignored.  The seq
+        stands in for RFC 3626's ANSN, and two rules deviate from its
+        section 9.5:
+
+        * the highest seq per originator (``_topo_seq``) is never purged,
+          so a TC with an older seq is still refused after the bucket has
+          expired, where the RFC accepts it because no tuple remains;
+        * a TC with an equal seq does not refresh the bucket's expiry,
+          where the RFC refreshes every tuple it lists.  A node bumps the
+          seq for every TC it sends, so an equal seq is a copy of a TC
+          already applied.
+        """
         origin = msg.originator
         last = self._topo_seq.get(origin)
         if last is not None and msg.seq <= last:
             return False  # stale or replayed advertisement
         self._topo_seq[origin] = msg.seq
-        old_dests = self.topology.pop(origin, (0, None, None))[0]
+        old_dests = self.topology.pop(origin, (0, None))[0]
         dests = msg.listed & ~(1 << self.self_id)
         if dests:
             expiry = now + msg.validity_time
-            self.topology[origin] = (dests, msg.seq, expiry)
+            self.topology[origin] = (dests, expiry)
             if expiry < self._next_expiry:
                 self._next_expiry = expiry
         return dests != old_dests
@@ -477,7 +477,7 @@ class NodeState:
             ttl=1,
             listed=_mask(self.links),
             symmetric_listed=self.symmetric,
-            mpr_listed=_mask(self.mprs),
+            mpr_listed=self.mprs,
             willingness=self.config.willingness,
         )
 
@@ -514,7 +514,7 @@ class NodeState:
         dead_two_hop = [via for via, (_, exp) in self.two_hop.items() if exp < now]
         for via in dead_two_hop:
             self._reindex(via, self.two_hop.pop(via)[0])
-        dead_topology = [last for last, (_, _, exp) in self.topology.items() if exp < now]
+        dead_topology = [last for last, (_, exp) in self.topology.items() if exp < now]
         for last in dead_topology:
             del self.topology[last]
         selectors_removed = _drop_expired(self.mpr_selectors, now)
@@ -527,7 +527,7 @@ class NodeState:
         self._next_expiry = min(
             [l.expiry for l in self.links.values()]
             + [exp for _, exp in self.two_hop.values()]
-            + [exp for _, _, exp in self.topology.values()]
+            + [exp for _, exp in self.topology.values()]
             + list(self.mpr_selectors.values())
             + [next(iter(self.duplicates.values()), math.inf)]
         )
@@ -551,12 +551,6 @@ class NodeState:
                 index[target] = vias
             else:
                 del index[target]
-
-    def _mpr_selection(self) -> MprSelection:
-        if self._selection is None:
-            self._selection = select_mprs(self.symmetric_neighbors().items(),
-                                          self.strict_two_hop())
-        return self._selection
 
 
 def compute_routing_table(state: NodeState) -> dict[int, tuple[int, int]]:

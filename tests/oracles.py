@@ -18,7 +18,6 @@ from olsrlab.olsr import (
     WILL_ALWAYS,
     WILL_DEFAULT,
     WILL_NEVER,
-    MprSelection,
     NodeState,
     OlsrConfig,
     _Link,
@@ -79,18 +78,18 @@ def cover_map(two_hop):
 # The greedy relay heuristic as the package ran it on (via, target) pairs
 # before selection moved to a transposed two-hop index; kept unchanged as
 # the reference the new selection must equal.
-def reference_select_mprs(symmetric_neighbors, two_hop) -> MprSelection:
-    """Pick a relay set covering every strict two-hop neighbor.
+def reference_select_mprs(symmetric_neighbors, two_hop) -> set:
+    """Pick a relay set covering every strict two-hop neighbor; return its ids.
 
     symmetric_neighbors: iterable of (node id, willingness) pairs.
     two_hop: iterable of (via neighbor, target) pairs; every via must be a
     symmetric neighbor.
 
     Neighbors with willingness 7 are always relays; willingness 0 is never
-    selected.  Targets that only willingness-0 neighbors reach come back in
-    ``uncoverable`` instead of being dropped silently.  The heuristic first
-    takes sole covers, then repeatedly the neighbor covering the most still
-    uncovered targets, ties broken by higher willingness then lower id.
+    selected, so targets that only willingness-0 neighbors reach stay
+    uncovered.  The heuristic first takes sole covers, then repeatedly the
+    neighbor covering the most still uncovered targets, ties broken by
+    higher willingness then lower id.
     """
     will = dict(symmetric_neighbors)
     pairs = set(two_hop)
@@ -109,7 +108,6 @@ def reference_select_mprs(symmetric_neighbors, two_hop) -> MprSelection:
             cover[target].add(via)
 
     mprs = {n for n, w in will.items() if w == WILL_ALWAYS}
-    uncoverable = frozenset(t for t, vias in cover.items() if not vias)
 
     uncovered = {t for t, vias in cover.items() if vias and not (vias & mprs)}
     # sole covers are forced picks
@@ -128,7 +126,7 @@ def reference_select_mprs(symmetric_neighbors, two_hop) -> MprSelection:
             break
         mprs.add(best)
         uncovered -= gained
-    return MprSelection(frozenset(mprs), uncoverable)
+    return mprs
 
 
 def random_neighborhood(rng: random.Random):
@@ -168,7 +166,7 @@ def position_at(points, time: float) -> tuple[float, float]:
 
 def topology_edges(state):
     """Advertised edges as last hop -> set of destinations."""
-    return {last: set(bits(dests)) for last, (dests, _, _) in state.topology.items()}
+    return {last: set(bits(dests)) for last, (dests, _) in state.topology.items()}
 
 
 def _bfs(adj, dist, frontier):
@@ -222,7 +220,7 @@ def random_snapshot(rng: random.Random):
         if dest != last:
             edges.setdefault(last, set()).add(dest)
     for last, dests in edges.items():
-        state.topology[last] = (sum(1 << d for d in dests), 1, INF)
+        state.topology[last] = (sum(1 << d for d in dests), INF)
     return state
 
 

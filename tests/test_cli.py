@@ -81,7 +81,7 @@ def test_simulate_unknown_scenario_lists_the_bundled_names(capsys):
 
 
 def test_simulate_accepts_a_config_file(tmp_path, capsys):
-    """A ``.run`` record's best config replays; the file name is its label."""
+    """A ``.run`` record's best config replays; its path as given is its label."""
     config = OlsrConfig(hello_interval=3.0, tc_interval=6.0)
     path = write_record(tmp_path / "tuned.run", config)
     rc = main(["simulate", "--scenario", "congested-small", "--config", str(path),
@@ -90,10 +90,10 @@ def test_simulate_accepts_a_config_file(tmp_path, capsys):
     expected = run_simulation(catalog()["congested-small"], config, 3)
     assert expected != run_simulation(catalog()["congested-small"], OlsrConfig(), 3)
     stdout = capsys.readouterr().out
-    assert "config=tuned.run seed=3" in stdout
+    assert f"config={path} seed=3" in stdout
     assert f"pdr={expected.pdr:.4f} nrl={expected.nrl:.4f}" in stdout
     report = json.loads(read(tmp_path / "report.json"))
-    assert report["config"] == "tuned.run"
+    assert report["config"] == str(path)
     assert report["metrics"] == asdict(expected)
 
 
@@ -466,6 +466,19 @@ def test_optimize_refuses_to_resume_a_benchmark_campaign(tmp_path, capsys):
     assert read(outdir / "campaign.json") == manifest
 
 
+def test_optimize_refuses_a_corrupt_manifest_naming_its_file(tmp_path, capsys):
+    outdir = tmp_path / "camp"
+    (outdir / "records").mkdir(parents=True)
+    manifest = json.dumps(pre_change_manifest(scenario="static-mesh-smoke"))
+    manifest = manifest[:len(manifest) // 2]  # cut off mid-write
+    (outdir / "campaign.json").write_text(manifest)
+    assert main(["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND",
+                 "--runs", "1", "--budget", "4", "--outdir", str(outdir)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {outdir / 'campaign.json'}: ")
+    assert os.listdir(outdir / "records") == []
+    assert read(outdir / "campaign.json") == manifest
+
+
 def test_optimize_resumes_a_simulation_campaign_that_names_its_objective(tmp_path, capsys):
     outdir = tmp_path / "camp"
     argv = ["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND",
@@ -577,6 +590,25 @@ def test_compare_refuses_a_repeated_config_label(tmp_path, capsys):
                  "--outdir", str(outdir)]) == 2
     assert "named more than once: rfc3626" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+def test_compare_labels_records_by_path_so_two_campaigns_winners_compare(tmp_path,
+                                                                          capsys):
+    # two campaigns name their records alike; only one path named twice is refused
+    paths = []
+    for campaign, hello in (("a", 3.0), ("b", 4.0)):
+        (tmp_path / campaign / "records").mkdir(parents=True)
+        paths.append(str(write_record(tmp_path / campaign / "records" / "PSO-seed000001.run",
+                                      OlsrConfig(hello_interval=hello))))
+    outdir = tmp_path / "cmp"
+    argv = ["compare", "--scenarios", "static-mesh-smoke", "--seeds", "1",
+            "--outdir", str(outdir)]
+    assert main(argv + ["--configs", ",".join(paths)]) == 0
+    labels = {c["config"] for c in json.loads(read(outdir / "compare.json"))["cells"]}
+    assert labels == set(paths)
+    capsys.readouterr()
+    assert main(argv + ["--configs", f"{paths[0]},{paths[0]}"]) == 2
+    assert f"named more than once: {paths[0]}" in capsys.readouterr().err
 
 
 def test_compare_refuses_a_repeated_scenario(tmp_path, capsys):

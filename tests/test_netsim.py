@@ -11,6 +11,7 @@ import pytest
 
 from olsrlab.netsim import (
     DATA_TTL_HOPS,
+    FRAME_TXEND,
     Counters,
     DataPacket,
     QosMetrics,
@@ -178,7 +179,7 @@ class _TxendAudit(Simulator):
         super().__init__(*args, **kwargs)
 
     def _schedule(self, time, kind, subject, payload=None):
-        if kind == "frame-txend":
+        if kind == FRAME_TXEND:
             self.pending[id(payload)] = payload
         super()._schedule(time, kind, subject, payload)
 
@@ -504,7 +505,7 @@ def test_held_out_runs_reproduce_their_pinned_metrics(name, seed, expected):
 ])
 def test_willingness_extremes_reproduce_their_pinned_metrics(name, willingness, expected):
     # every node of a run shares one willingness, so only 0 (no relays,
-    # every strict two-hop target uncoverable) and 7 (every neighbor a
+    # no strict two-hop target covered) and 7 (every neighbor a
     # relay) change the selection; the pins above all run willingness 3
     config = OlsrConfig(willingness=willingness)
     assert run_simulation(catalog()[name], config, 1) == expected

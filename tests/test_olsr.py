@@ -75,46 +75,46 @@ def two_hop_pairs(state):
 
 def topology_pairs(state):
     """The topology set as (destination, last hop) pairs."""
-    return {(dest, last) for last, (dests, _, _) in state.topology.items()
+    return {(dest, last) for last, (dests, _) in state.topology.items()
             for dest in bits(dests)}
 
 
 def test_select_mprs_worked_example():
     # 5 reachable only via 2, 6 only via 3; 4 then already covered by 2
     will = {1: 3, 2: 3, 3: 3}
-    two_hop = {(1, 4), (2, 4), (2, 5), (3, 6)}
-    sel = select_mprs(will.items(), cover_map(two_hop))
-    assert sel.mprs == frozenset({2, 3})
-    assert sel.uncoverable == frozenset()
+    cover = cover_map({(1, 4), (2, 4), (2, 5), (3, 6)})
+    mprs = select_mprs(will, cover)
+    assert bits(mprs) == [2, 3]
+    assert all(vias & mprs for vias in cover.values())
 
 
 def test_select_mprs_tie_breaks_on_willingness_then_id():
     # both candidates cover both targets; 2 advertises higher willingness
-    sel = select_mprs({1: 3, 2: 5}.items(), cover_map({(1, 10), (2, 10), (1, 11), (2, 11)}))
-    assert sel.mprs == frozenset({2})
+    mprs = select_mprs({1: 3, 2: 5}, cover_map({(1, 10), (2, 10), (1, 11), (2, 11)}))
+    assert bits(mprs) == [2]
     # equal willingness: lower id wins
-    sel = select_mprs({1: 3, 2: 3}.items(), cover_map({(1, 10), (2, 10)}))
-    assert sel.mprs == frozenset({1})
+    mprs = select_mprs({1: 3, 2: 3}, cover_map({(1, 10), (2, 10)}))
+    assert bits(mprs) == [1]
 
 
 def test_select_mprs_willingness_extremes():
     will = {1: WILL_NEVER, 2: WILL_DEFAULT, 3: WILL_ALWAYS}
-    sel = select_mprs(will.items(), cover_map({(1, 10), (2, 11)}))
-    assert 3 in sel.mprs          # always-willing is in even covering nothing
-    assert 1 not in sel.mprs      # never-willing is never picked
-    assert sel.uncoverable == frozenset({10})
-    assert 2 in sel.mprs
+    cover = cover_map({(1, 10), (2, 11)})
+    mprs = select_mprs(will, cover)
+    assert 3 in bits(mprs)        # always-willing is in even covering nothing
+    assert 1 not in bits(mprs)    # never-willing is never picked
+    assert not cover[10] & mprs   # so no relay covers 10
+    assert 2 in bits(mprs)
 
 
 def test_select_mprs_skips_targets_already_one_hop():
     # 2 is itself a symmetric neighbor, so (1, 2) needs no relay
-    sel = select_mprs({1: 3, 2: 3}.items(), cover_map({(1, 2)}))
-    assert sel.mprs == frozenset()
+    assert select_mprs({1: 3, 2: 3}, cover_map({(1, 2)})) == 0
 
 
 def test_select_mprs_rejects_unknown_via():
     with pytest.raises(ValueError):
-        select_mprs({1: 3}.items(), cover_map({(9, 4)}))
+        select_mprs({1: 3}, cover_map({(9, 4)}))
 
 
 def test_select_mprs_covers_random_neighborhoods():
@@ -122,15 +122,16 @@ def test_select_mprs_covers_random_neighborhoods():
     within = 0
     for _ in range(120):
         will, two_hop = random_neighborhood(rng)
-        sel = select_mprs(will.items(), cover_map(two_hop))
-        cover = coverage_sets(will, two_hop)
-        for target, vias in cover.items():
+        cover = cover_map(two_hop)
+        mprs = select_mprs(will, cover)
+        relays = set(bits(mprs))
+        for target, vias in coverage_sets(will, two_hop).items():
             if vias:
-                assert vias & sel.mprs, (will, two_hop, sel)
+                assert vias & relays, (will, two_hop, relays)
             else:
-                assert target in sel.uncoverable
-        assert all(will[m] > WILL_NEVER for m in sel.mprs)
-        if len(sel.mprs) <= brute_minimum_cover(will, two_hop) + 2:
+                assert not cover[target] & mprs, (will, two_hop, relays)
+        assert all(will[m] > WILL_NEVER for m in relays)
+        if len(relays) <= brute_minimum_cover(will, two_hop) + 2:
             within += 1
     assert within >= 0.95 * 120
 
@@ -159,11 +160,11 @@ def test_select_mprs_equals_the_reference_greedy():
         except ValueError:
             rejected += 1
             with pytest.raises(ValueError):
-                select_mprs(will.items(), cover_map(pairs))
+                select_mprs(will, cover_map(pairs))
             continue
-        assert select_mprs(will.items(), cover_map(pairs)) == expected, (will, pairs)
+        assert set(bits(select_mprs(will, cover_map(pairs)))) == expected, (will, pairs)
         optional = {n for n, w in will.items() if WILL_NEVER < w < WILL_ALWAYS}
-        multi_step += len(expected.mprs & optional) > 1
+        multi_step += len(expected & optional) > 1
     assert rejected > 200 and multi_step > 150
 
 
@@ -219,7 +220,7 @@ def test_hello_registers_mpr_selector():
 def test_hello_reselects_mprs_on_membership_change():
     state = NodeState(1, OlsrConfig())
     state.process_message(hello(2, sym=[1, 5]), 2, 0.0)
-    assert state.mprs == {2}
+    assert bits(state.mprs) == [2]
     # routes come from symmetric links plus advertised topology; the
     # two-hop set only drives relay selection
     assert state.routing == {2: (2, 1)}
@@ -230,14 +231,14 @@ def primed_selection():
     and its relay selection and routes already made."""
     state = NodeState(1, OlsrConfig())
     state.process_message(hello(2, sym=[1, 5]), 2, 0.0)
-    assert state.mprs == {2} and state.routing == {2: (2, 1)}
+    assert bits(state.mprs) == [2] and state.routing == {2: (2, 1)}
     return state, state._selection
 
 
 def test_hello_that_only_refreshes_keeps_the_selection_and_routes():
     state, selection = primed_selection()
     state.process_message(hello(2, sym=[1, 5], seq=2), 2, 1.0)
-    assert state._selection is selection
+    assert state._selection == selection
     assert state._routing_stale is False
 
 
@@ -245,11 +246,11 @@ def test_hello_of_a_new_one_way_link_keeps_the_selection_and_routes():
     state, selection = primed_selection()
     state.process_message(hello(3, sym=[5], willingness=WILL_ALWAYS), 3, 1.0)
     assert 3 in state.links and not is_symmetric(state, 3)
-    assert state._selection is selection
+    assert state._selection == selection
     assert state._routing_stale is False
     # a one-way neighbor's willingness is not read either
     state.process_message(hello(3, sym=[5], seq=2, willingness=WILL_NEVER), 3, 2.0)
-    assert state._selection is selection
+    assert state._selection == selection
     assert state._routing_stale is False
 
 
@@ -258,7 +259,8 @@ def test_hello_that_flips_a_strict_target_drops_the_selection():
     state.process_message(hello(2, sym=[1, 5, 6], seq=2), 2, 1.0)
     assert state._selection is None
     assert state._routing_stale is False
-    assert state.uncoverable == set() and state.strict_two_hop() == {5: 1 << 2, 6: 1 << 2}
+    assert state.strict_two_hop() == {5: 1 << 2, 6: 1 << 2}
+    assert all(vias & state.mprs for vias in state.strict_two_hop().values())
 
 
 def test_willingness_change_of_a_symmetric_neighbor_drops_the_selection():
@@ -266,7 +268,8 @@ def test_willingness_change_of_a_symmetric_neighbor_drops_the_selection():
     state.process_message(hello(2, sym=[1, 5], seq=2, willingness=WILL_NEVER), 2, 1.0)
     assert state._selection is None
     assert state._routing_stale is False
-    assert state.mprs == set() and state.uncoverable == {5}
+    # 5 is still a strict target, and no relay covers it
+    assert state.strict_two_hop() == {5: 1 << 2} and state.mprs == 0
 
 
 def test_hello_that_flips_a_symmetric_neighbor_target_keeps_the_selection():
@@ -274,12 +277,12 @@ def test_hello_that_flips_a_symmetric_neighbor_target_keeps_the_selection():
     # 3 turns symmetric: the symmetric mask changes, so both go stale
     state.process_message(hello(3, sym=[1]), 3, 1.0)
     assert state._selection is None and state._routing_stale is True
-    assert state.mprs == {2} and state.routing == {2: (2, 1), 3: (3, 1)}
+    assert bits(state.mprs) == [2] and state.routing == {2: (2, 1), 3: (3, 1)}
     selection = state._selection
     # 2 now lists 3, which needs no relay: the strict two-hop set is unchanged
     state.process_message(hello(2, sym=[1, 3, 5], seq=2), 2, 2.0)
     assert two_hop_pairs(state) == {(2, 3), (2, 5)}
-    assert state._selection is selection
+    assert state._selection == selection
     assert state._routing_stale is False
     assert state.strict_two_hop() == {5: 1 << 2}
 
@@ -333,7 +336,21 @@ def test_tc_topology_replacement_and_stale_rejection():
     # higher seq replaces the originator's advertisement wholesale
     state.process_message(tc(9, (6,), seq=6), 2, 3.0)
     assert topology_pairs(state) == {(6, 9)}
-    assert state.topology[9] == (1 << 6, 6, 3.0 + 15.0)
+    assert state.topology[9] == (1 << 6, 3.0 + 15.0)
+
+
+def test_tc_older_than_an_expired_bucket_is_still_refused():
+    # a deviation from RFC 3626 section 9.5, which accepts it because no
+    # tuple of 9 remains: the highest seq seen outlives the bucket
+    state = NodeState(1, OlsrConfig())
+    state.process_message(tc(9, (4, 5), seq=5, validity=15.0), 2, 0.0)
+    assert state.purge_expired(16.0) is True
+    assert not state.topology
+    state.process_message(tc(9, (6,), seq=4), 2, 16.0)
+    assert not state.topology
+    # a higher seq is accepted
+    state.process_message(tc(9, (6,), seq=6), 2, 17.0)
+    assert topology_pairs(state) == {(6, 9)}
 
 
 def test_tc_skips_self_as_destination():
@@ -428,7 +445,7 @@ def test_hello_lists_links_symmetric_neighbors_and_relays():
     assert msg.kind == HELLO
     assert msg.listed == mask(state.links) == mask([2, 3, 4])
     assert msg.symmetric_listed == state.symmetric == mask([2, 3])
-    assert msg.mpr_listed == mask(state.mprs) == mask([3])
+    assert msg.mpr_listed == state.mprs == mask([3])
     assert msg.mpr_listed & ~msg.symmetric_listed == 0
     assert msg.ttl == 1
     assert msg.willingness == state.config.willingness
@@ -522,15 +539,15 @@ def test_routing_prefers_lowest_next_hop_on_ties():
     state = NodeState(0, OlsrConfig())
     link(state, 1)
     link(state, 2)
-    state.topology[1] = (1 << 5, 1, INF)
-    state.topology[2] = (1 << 5, 1, INF)
+    state.topology[1] = (1 << 5, INF)
+    state.topology[2] = (1 << 5, INF)
     assert compute_routing_table(state)[5] == (1, 2)
 
 
 def test_routing_ignores_asymmetric_links():
     state = NodeState(0, OlsrConfig())
     link(state, 1, symmetric=False)
-    state.topology[1] = (1 << 5, 1, INF)
+    state.topology[1] = (1 << 5, INF)
     assert compute_routing_table(state) == {}
 
 

@@ -94,7 +94,7 @@ def expiries(state):
             for via, (targets, exp) in state.two_hop.items() for target in bits(targets)]
     out += [("mpr_selectors", n, exp) for n, exp in state.mpr_selectors.items()]
     out += [("topology", (dest, last), exp)
-            for last, (dests, _, exp) in state.topology.items() for dest in bits(dests)]
+            for last, (dests, exp) in state.topology.items() for dest in bits(dests)]
     out += [("duplicates", key, exp) for key, exp in state.duplicates.items()]
     return out
 
@@ -103,13 +103,13 @@ def check_derived_tables(state, symmetric):
     """Check every derived table; ``symmetric`` is the test's own model of
     the symmetric neighbors."""
     assert state.symmetric == sum(1 << n for n in symmetric)
-    # buckets are never empty, never list us, and a topology bucket holds
-    # the originator's latest sequence number
+    # buckets are never empty, never list us, and a topology bucket's
+    # originator has a latest sequence number
     for targets, _ in state.two_hop.values():
         assert targets and SELF not in bits(targets)
-    for last, (dests, seq, _) in state.topology.items():
+    for last, (dests, _) in state.topology.items():
         assert dests and SELF not in bits(dests)
-        assert seq == state._topo_seq[last]
+        assert last in state._topo_seq
     # the expiry sweep drops duplicates from the front
     dup_expiries = list(state.duplicates.values())
     assert dup_expiries == sorted(dup_expiries)
@@ -122,17 +122,18 @@ def check_derived_tables(state, symmetric):
     will = state.symmetric_neighbors()
     strict = {(via, target) for via, target in pairs
               if via in will and target not in will and target != SELF}
-    assert state.strict_two_hop() == cover_map(strict)
+    cover = cover_map(strict)
+    assert state.strict_two_hop() == cover
 
-    fresh = select_mprs(will.items(), cover_map(strict))
-    assert state.mprs == fresh.mprs
-    assert state.uncoverable == fresh.uncoverable
-    assert fresh == reference_select_mprs(will.items(), strict)
+    fresh = select_mprs(will, cover)
+    assert state.mprs == fresh
+    relays = set(bits(fresh))
+    assert relays == reference_select_mprs(will.items(), strict)
     for target, vias in coverage_sets(will, strict).items():
         if vias:
-            assert vias & state.mprs, (target, vias, state.mprs)
+            assert vias & relays, (target, vias, relays)
         else:
-            assert target in state.uncoverable
+            assert not cover[target] & fresh, (target, relays)
 
     assert state.routing == compute_routing_table(state)
     hops, _ = bfs_hops(state)
