@@ -1,14 +1,19 @@
 """Command line interface: simulate, optimize, compare, report.
 
 Every command is deterministic given its flags and seeds (wall-clock
-timing columns aside), writes machine-readable CSV/JSON next to a short
+timing fields aside), writes each output once, as JSON, next to a short
 stdout summary, and exits 0 on success or nonzero after printing a
-diagnostic to stderr.
+diagnostic to stderr.  ``optimize`` writes ``campaign.json``, a
+``records/`` directory of ``.run`` records and ``summary.json``;
+``report`` writes ``summary.json`` and ``trajectories.json``; ``compare``
+writes ``compare.json``; ``simulate --output`` writes one report.  The
+wall-clock fields are the records' timing fields and ``summary.json``'s
+``time_to_best`` and ``total_time``.
 
 Campaigns persist one record file per (algorithm, seed) and resume by
 skipping records that already exist, so an interrupted run can simply be
-restarted with the same flags.  ``campaign.json`` is written before the
-first run; a restart that adds algorithms or runs is accepted, but one
+restarted with the same flags.  ``campaign.json`` is written once, before
+the first run; a restart that adds algorithms or runs is accepted, but one
 whose scenario, budget, population, base seed or eval seed differ from
 it is refused before any record is written.  The manifest describes the
 whole campaign: every algorithm any invocation named, in first-named
@@ -17,14 +22,13 @@ order, and the most runs any asked for.
 Each input has one form.  A scenario is a bundled name or a
 :func:`~olsrlab.scenario.save_scenario` file; a config is a bundled label
 or a campaign's ``.run`` record, whose best config it names by the
-record's file name.  Output goes to ``--outdir``, ``olsrlab-out`` unless
-given; no environment variable is read.
+record's path as given.  Output goes to ``--outdir``, ``olsrlab-out``
+unless given; no environment variable is read.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import statistics
@@ -151,23 +155,6 @@ def _write_summary(outdir: str, by_alg: dict[str, list[RunRecord]]) -> dict:
             omnibus = kruskal_wallis([costs[a] for a in algorithms])
             vs_rest = kruskal_wallis_vs_rest(costs)
 
-    with open(os.path.join(outdir, "summary.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "runs", "mean", "std", "best", "median",
-                         "worst", "friedman_rank", "kw_p_vs_rest"])
-        for i, row in enumerate(rows):
-            writer.writerow([
-                row.algorithm, row.runs, repr(row.mean), repr(row.std),
-                repr(row.best), repr(row.median), repr(row.worst),
-                repr(friedman.mean_ranks[i]) if friedman else "",
-                repr(vs_rest[row.algorithm].p_value) if vs_rest else "",
-            ])
-    with open(os.path.join(outdir, "timing.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "time_to_best_s", "total_time_s"])
-        for row in rows:
-            writer.writerow([row.algorithm, repr(row.time_to_best), repr(row.total_time)])
-
     algorithm_entries = {}
     for i, row in enumerate(rows):
         entry = asdict(row)
@@ -197,8 +184,9 @@ CAMPAIGN_KEYS = ("scenario", "budget", "population", "base_seed", "eval_seed")
 
 
 def _check_same_campaign(path: str, manifest: dict) -> dict | None:
-    """Refuse to resume a campaign whose shared settings differ; return the
-    existing manifest, or None for a new campaign."""
+    """Refuse to resume a campaign whose shared settings differ, or whose
+    manifest is malformed; return the existing manifest, or None for a new
+    campaign."""
     if not os.path.exists(path):
         return None
     with open(path) as fh:
@@ -208,6 +196,11 @@ def _check_same_campaign(path: str, manifest: dict) -> dict | None:
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(existing, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(existing).__name__}")
+    algorithms, runs = existing.get("algorithms"), existing.get("runs")
+    if not (isinstance(algorithms, list) and all(isinstance(a, str) for a in algorithms)):
+        raise ValueError(f"{path}: algorithms must be a list of names, got {algorithms!r}")
+    if not isinstance(runs, int) or isinstance(runs, bool) or runs < 1:
+        raise ValueError(f"{path}: runs must be a positive integer, got {runs!r}")
     differing = [f"{key} {existing.get(key)!r} != {manifest[key]!r}"
                  for key in CAMPAIGN_KEYS if existing.get(key) != manifest[key]]
     if differing:
@@ -244,16 +237,12 @@ def cmd_optimize(args) -> int:
     }
     existing = _check_same_campaign(manifest_path, manifest)
     if existing is not None:
-        earlier = existing.get("algorithms", [])
+        earlier = existing["algorithms"]
         manifest["algorithms"] = earlier + [a for a in algorithms if a not in earlier]
-        manifest["runs"] = max(existing.get("runs", 0), args.runs)
+        manifest["runs"] = max(existing["runs"], args.runs)
     os.makedirs(records_dir, exist_ok=True)
 
-    def write_manifest():
-        manifest["records"] = sorted(n for n in os.listdir(records_dir) if n.endswith(".run"))
-        _atomic_write(manifest_path, json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-
-    write_manifest()
+    _atomic_write(manifest_path, json.dumps(manifest, sort_keys=True, indent=1) + "\n")
     executed = 0
     for algorithm in algorithms:
         for i in range(args.runs):
@@ -266,7 +255,6 @@ def cmd_optimize(args) -> int:
             record = search(cfg, objective)
             _atomic_write(path, record.to_text())
             executed += 1
-    write_manifest()
 
     by_alg = _campaign_records(records_dir)
     doc = _write_summary(outdir, by_alg)
@@ -333,22 +321,14 @@ def cmd_compare(args) -> int:
             for c in group:
                 c[f"{metric}_best"] = c[metric] == target
 
-    out_csv = os.path.join(args.outdir, "compare.csv")
+    out_json = os.path.join(args.outdir, "compare.json")
     os.makedirs(args.outdir, exist_ok=True)
-    with open(out_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["config", "scenario"] + [f for f in METRIC_FIELDS]
-                        + [f"{f}_best" for f in METRIC_FIELDS])
-        for c in sorted(cells, key=lambda c: (c["scenario"], c["config"])):
-            writer.writerow([c["config"], c["scenario"]]
-                            + [repr(c[f]) for f in METRIC_FIELDS]
-                            + [int(c[f"{f}_best"]) for f in METRIC_FIELDS])
-    _atomic_write(os.path.join(args.outdir, "compare.json"),
+    _atomic_write(out_json,
                   json.dumps({"seeds": seeds,
                               "cells": sorted(cells, key=lambda c: (c["scenario"], c["config"]))},
                              sort_keys=True, indent=1) + "\n")
     print(f"compare: {len(entries)} configs x {len(scenarios)} scenarios "
-          f"x {len(seeds)} seeds -> {out_csv}")
+          f"x {len(seeds)} seeds -> {out_json}")
     return 0
 
 
@@ -364,15 +344,6 @@ def cmd_report(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
 
     doc = _write_summary(args.outdir, by_alg)
-    with open(os.path.join(args.outdir, "trajectories.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "seed", "eval_index", "cost", "best_so_far"])
-        for algorithm, records in sorted(by_alg.items()):
-            for record in records:
-                series = record.best_so_far()
-                for (index, cost, _), best in zip(record.trajectory, series):
-                    writer.writerow([algorithm, record.seed, index,
-                                     repr(cost), repr(best)])
     traj = {
         algorithm: {
             str(record.seed): record.best_so_far() for record in records
@@ -427,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithms", default=",".join(ALGORITHMS))
     p.add_argument("--runs", type=positive_int, default=30)
     p.add_argument("--budget", type=int, default=1000)
-    p.add_argument("--population", type=int, default=10)
+    p.add_argument("--population", type=positive_int, default=10)
     # the optimizers seed numpy, which refuses a negative seed
     p.add_argument("--base-seed", type=non_negative_int, default=1)
     p.add_argument("--eval-seed", type=int, default=0,

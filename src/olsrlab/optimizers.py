@@ -144,6 +144,9 @@ class RunRecord:
                 cost=summary["best_cost"],
                 wall_time=summary.get("best_wall_time", 0.0),
             )
+            # search never writes one: the recorder refuses a non-finite cost
+            if not all(math.isfinite(c) for c in (best.cost, *(t[1] for t in trajectory))):
+                raise ValueError("malformed run record: non-finite cost")
             return cls(
                 algorithm=header["algorithm"],
                 seed=header["seed"],

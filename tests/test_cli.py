@@ -1,5 +1,6 @@
 """Command line interface, exercised in process through main(argv)."""
 
+import hashlib
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from dataclasses import asdict
 import pytest
 
 import olsrlab
+from olsrlab import cli
 from olsrlab.cli import main
 from olsrlab.fitness import COST_WEIGHTS, Evaluation
 from olsrlab.netsim import run_simulation
@@ -225,11 +227,11 @@ def test_optimize_campaign_layout(tmp_path, capsys):
     assert run_tiny_campaign(outdir) == 0
     assert "campaign: 4 new runs, 4 total" in capsys.readouterr().out
 
+    # each output once, as JSON
+    assert sorted(os.listdir(outdir)) == ["campaign.json", "records", "summary.json"]
     records = sorted(os.listdir(outdir / "records"))
     assert records == ["RAND-seed000001.run", "RAND-seed000002.run",
                        "SA-seed000001.run", "SA-seed000002.run"]
-    for name in ("campaign.json", "summary.csv", "summary.json", "timing.csv"):
-        assert (outdir / name).exists()
 
     manifest = json.loads(read(outdir / "campaign.json"))
     assert manifest["format"] == "olsrlab-campaign-v1"
@@ -237,7 +239,8 @@ def test_optimize_campaign_layout(tmp_path, capsys):
     assert manifest["scenario"] == "static-mesh-smoke"
     assert manifest["weights"] == dict(COST_WEIGHTS)
     assert "objective" not in manifest
-    assert manifest["records"] == records
+    # the records directory is its own listing
+    assert "records" not in manifest
 
     summary = json.loads(read(outdir / "summary.json"))
     assert set(summary["algorithms"]) == {"RAND", "SA"}
@@ -246,16 +249,30 @@ def test_optimize_campaign_layout(tmp_path, capsys):
     assert summary["kruskal_wallis"] is not None
 
 
+def test_optimize_writes_its_manifest_once_before_the_first_record(tmp_path, monkeypatch):
+    written = []
+    atomic_write = cli._atomic_write
+
+    def spy(path, text):
+        written.append(os.path.basename(path))
+        atomic_write(path, text)
+
+    monkeypatch.setattr(cli, "_atomic_write", spy)
+    assert run_tiny_campaign(tmp_path / "camp") == 0
+    assert written == ["campaign.json", "RAND-seed000001.run", "RAND-seed000002.run",
+                       "SA-seed000001.run", "SA-seed000002.run", "summary.json"]
+
+
 def test_optimize_rerun_is_idempotent(tmp_path, capsys):
     outdir = tmp_path / "camp"
     run_tiny_campaign(outdir)
-    before = {p: read(outdir / p) for p in
-              ("campaign.json", "summary.csv", "summary.json", "timing.csv")}
+    before = {p: read(outdir / p) for p in ("campaign.json", "summary.json")}
     before_records = {n: read(outdir / "records" / n)
                       for n in os.listdir(outdir / "records")}
 
     assert run_tiny_campaign(outdir) == 0
     assert "campaign: 0 new runs, 4 total" in capsys.readouterr().out
+    assert sorted(os.listdir(outdir)) == ["campaign.json", "records", "summary.json"]
     for path, text in before.items():
         assert read(outdir / path) == text, path
     for name, text in before_records.items():
@@ -283,12 +300,23 @@ def _without_best_config(text):
     return "\n".join(lines[:-1] + [json.dumps(summary)]) + "\n"
 
 
+def _with_nan_cost(text):
+    # a NaN would make report's stdev raise and compare's min pick any winner
+    lines = text.splitlines()
+    index, _, *candidate = lines[2].split()
+    summary = json.loads(lines[-1])
+    summary["best_cost"] = math.nan
+    return "\n".join(lines[:2] + [" ".join([index, "nan", *candidate])] + lines[3:-1]
+                     + [json.dumps(summary)]) + "\n"
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda text: text.splitlines()[0] + "\n",
     _without_best_config,
     lambda text: "\n".join(text.splitlines()[:-1] + ["[]"]) + "\n",
-], ids=["header-only", "no-best-config", "summary-not-an-object"])
-@pytest.mark.parametrize("command", ["report", "optimize"])
+    _with_nan_cost,
+], ids=["header-only", "no-best-config", "summary-not-an-object", "nan-cost"])
+@pytest.mark.parametrize("command", ["report", "optimize", "compare"])
 def test_a_malformed_record_is_an_error_naming_its_file(tmp_path, capsys, corrupt, command):
     outdir = tmp_path / "camp"
     run_tiny_campaign(outdir)
@@ -298,6 +326,10 @@ def test_a_malformed_record_is_an_error_naming_its_file(tmp_path, capsys, corrup
     if command == "report":
         rc = main(["report", "--records", str(outdir / "records"),
                    "--outdir", str(tmp_path / "rep")])
+    elif command == "compare":
+        rc = main(["compare", "--runs-dir", str(outdir / "records"),
+                   "--scenarios", "static-mesh-smoke", "--seeds", "1",
+                   "--outdir", str(tmp_path / "cmp")])
     else:
         rc = run_tiny_campaign(outdir)  # resume: every record exists
     assert rc == 2
@@ -353,7 +385,7 @@ def test_optimize_resume_may_add_algorithms_and_runs(tmp_path, capsys):
     assert "campaign: 3 new runs, 4 total" in capsys.readouterr().out
     manifest = json.loads(read(outdir / "campaign.json"))
     assert manifest["algorithms"] == ["RAND", "SA"]
-    assert len(manifest["records"]) == 4
+    assert manifest["runs"] == 2
 
 
 def test_optimize_manifest_describes_the_whole_campaign_on_resume(tmp_path, capsys):
@@ -369,7 +401,7 @@ def test_optimize_manifest_describes_the_whole_campaign_on_resume(tmp_path, caps
     assert manifest["algorithms"] == ["RAND", "SA"]
     assert manifest["runs"] == 3
     assert manifest["base_seed"] == 1
-    assert len(manifest["records"]) == 6
+    assert len(os.listdir(outdir / "records")) == 6
     capsys.readouterr()
 
     assert main(["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND",
@@ -444,7 +476,7 @@ def test_optimize_sim_objective_requires_a_scenario(tmp_path, capsys):
 
 
 def pre_change_manifest(**settings):
-    """campaign.json as written before the objective key was dropped."""
+    """campaign.json as earlier versions wrote it, listing its records."""
     return {"format": "olsrlab-campaign-v1", "algorithms": ["RAND"], "runs": 1,
             "budget": 4, "population": 10, "base_seed": 1, "eval_seed": 0,
             "records": [], **settings}
@@ -479,6 +511,30 @@ def test_optimize_refuses_a_corrupt_manifest_naming_its_file(tmp_path, capsys):
     assert read(outdir / "campaign.json") == manifest
 
 
+@pytest.mark.parametrize("settings,message", [
+    # resume joins the algorithms to a list and takes the larger runs
+    (dict(algorithms="RAND"), "algorithms must be a list of names"),
+    (dict(algorithms=["RAND", 3]), "algorithms must be a list of names"),
+    (dict(runs=1.5), "runs must be a positive integer"),
+    (dict(runs="2"), "runs must be a positive integer"),
+    (dict(runs=True), "runs must be a positive integer"),
+    (dict(runs=0), "runs must be a positive integer"),
+], ids=["algorithms-a-string", "algorithms-not-names", "runs-a-float", "runs-a-string",
+        "runs-a-bool", "runs-0"])
+def test_optimize_refuses_a_manifest_field_of_the_wrong_type_naming_its_file(
+        tmp_path, capsys, settings, message):
+    outdir = tmp_path / "camp"
+    (outdir / "records").mkdir(parents=True)
+    manifest = json.dumps(pre_change_manifest(scenario="static-mesh-smoke", **settings))
+    (outdir / "campaign.json").write_text(manifest)
+    assert main(["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND",
+                 "--runs", "1", "--budget", "4", "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {outdir / 'campaign.json'}: ") and message in err
+    assert os.listdir(outdir / "records") == []
+    assert read(outdir / "campaign.json") == manifest
+
+
 def test_optimize_resumes_a_simulation_campaign_that_names_its_objective(tmp_path, capsys):
     outdir = tmp_path / "camp"
     argv = ["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND",
@@ -490,7 +546,10 @@ def test_optimize_resumes_a_simulation_campaign_that_names_its_objective(tmp_pat
     capsys.readouterr()
     assert main(argv) == 0
     assert "campaign: 0 new runs, 1 total" in capsys.readouterr().out
-    assert "objective" not in json.loads(read(outdir / "campaign.json"))
+    # resume rewrites the manifest in the current layout
+    resumed = json.loads(read(outdir / "campaign.json"))
+    assert "objective" not in resumed and "records" not in resumed
+    assert os.listdir(outdir / "records") == ["RAND-seed000001.run"]
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -498,7 +557,13 @@ def test_optimize_resumes_a_simulation_campaign_that_names_its_objective(tmp_pat
     (["optimize", "--scenario", "static-mesh-smoke", "--runs", "-2"], "--runs"),
     (["compare", "--configs", "rfc3626", "--scenarios", "static-mesh-smoke",
       "--seeds", "0"], "--seeds"),
-], ids=["runs-0", "runs-negative", "seeds-0"])
+    # RAND and SA read no population, so only the parser can refuse it
+    # before campaign.json fixes it
+    (["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND",
+      "--runs", "1", "--budget", "2", "--population", "0"], "--population"),
+    (["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "RAND",
+      "--runs", "1", "--budget", "2", "--population", "-3"], "--population"),
+], ids=["runs-0", "runs-negative", "seeds-0", "population-0", "population-negative"])
 def test_a_count_below_one_is_refused_before_anything_is_written(tmp_path, capsys,
                                                                   argv, flag):
     outdir = tmp_path / "out"
@@ -552,13 +617,11 @@ def test_compare_builds_a_metric_grid(tmp_path):
                "--outdir", str(outdir)])
     assert rc == 0
 
-    rows = read(outdir / "compare.csv").splitlines()
-    assert rows[0].split(",")[:6] == ["config", "scenario", "pdr", "nrl", "e2ed", "rpl"]
-    assert len(rows) == 1 + 6  # 3 configs x (1 scenario + ALL)
-
+    assert os.listdir(outdir) == ["compare.json"]
     doc = json.loads(read(outdir / "compare.json"))
     assert doc["seeds"] == [1, 2]
     cells = doc["cells"]
+    assert len(cells) == 6  # 3 configs x (1 scenario + ALL)
     assert {(c["config"], c["scenario"]) for c in cells} == {
         ("rfc3626", "static-mesh-smoke"), ("gomez-1", "static-mesh-smoke"),
         ("gomez-3", "static-mesh-smoke"),
@@ -568,6 +631,16 @@ def test_compare_builds_a_metric_grid(tmp_path):
         group = [c for c in cells if c["scenario"] == scenario]
         assert any(c["pdr_best"] for c in group)
         assert any(c["nrl_best"] for c in group)
+
+
+def test_compare_output_keeps_its_bytes(tmp_path):
+    # compare.json's bytes move only on purpose
+    outdir = tmp_path / "cmp"
+    assert main(["compare", "--configs", "rfc3626,gomez-3",
+                 "--scenarios", "static-mesh-smoke", "--seeds", "2",
+                 "--outdir", str(outdir)]) == 0
+    digest = hashlib.sha256((outdir / "compare.json").read_bytes()).hexdigest()
+    assert digest == "4cf9f11aaa75c634a6c242db2a8244599d031ebe42b0f6530b45d31a1c4605cd"
 
 
 def test_compare_can_pull_best_configs_from_a_campaign(tmp_path):
@@ -639,10 +712,7 @@ def test_report_regenerates_summaries_and_trajectories(tmp_path):
     rc = main(["report", "--records", str(campaign / "records"),
                "--outdir", str(outdir)])
     assert rc == 0
-
-    rows = read(outdir / "trajectories.csv").splitlines()
-    assert rows[0] == "algorithm,seed,eval_index,cost,best_so_far"
-    assert len(rows) == 1 + 4 * 4  # four records, four evaluations each
+    assert sorted(os.listdir(outdir)) == ["summary.json", "trajectories.json"]
 
     traj = json.loads(read(outdir / "trajectories.json"))
     assert set(traj) == {"RAND", "SA"}
@@ -651,9 +721,8 @@ def test_report_regenerates_summaries_and_trajectories(tmp_path):
         for series in series_by_seed.values():
             assert len(series) == 4
             assert series == sorted(series, reverse=True)
-
-    assert (outdir / "summary.csv").exists()
-    assert (outdir / "timing.csv").exists()
+    # the summary a report rebuilds is the one the campaign wrote
+    assert read(outdir / "summary.json") == read(campaign / "summary.json")
 
 
 def test_report_missing_directory(tmp_path, capsys):

@@ -286,6 +286,19 @@ def test_from_text_rejects_other_formats():
         RunRecord.from_text("something-else v9\n{}\n{}\n")
 
 
+@pytest.mark.parametrize("where", ["trajectory", "best"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_from_text_rejects_a_non_finite_cost(where, value):
+    record = search(OptimizerConfig("RAND", budget=3, seed=4), sphere)
+    if where == "trajectory":
+        index, _, candidate = record.trajectory[1]
+        record.trajectory[1] = (index, value, candidate)
+    else:
+        record.best = Evaluation(record.best.config, None, value, 0.0)
+    with pytest.raises(ValueError, match="non-finite cost"):
+        RunRecord.from_text(record.to_text())
+
+
 def test_optimize_attaches_simulation_metrics_and_round_trips():
     record = search(OptimizerConfig("RAND", budget=4, seed=2),
                     OlsrObjective(catalog()["static-mesh-smoke"], seeds=(1,)))
