@@ -199,6 +199,9 @@ def _check_same_campaign(path: str, manifest: dict) -> dict | None:
     algorithms, runs = existing.get("algorithms"), existing.get("runs")
     if not (isinstance(algorithms, list) and all(isinstance(a, str) for a in algorithms)):
         raise ValueError(f"{path}: algorithms must be a list of names, got {algorithms!r}")
+    for a in algorithms:
+        if a not in ALGORITHMS:
+            raise ValueError(f"{path}: unknown algorithm {a!r}; pick from {', '.join(ALGORITHMS)}")
     if not isinstance(runs, int) or isinstance(runs, bool) or runs < 1:
         raise ValueError(f"{path}: runs must be a positive integer, got {runs!r}")
     differing = [f"{key} {existing.get(key)!r} != {manifest[key]!r}"

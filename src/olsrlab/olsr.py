@@ -15,10 +15,8 @@ mixed-configuration experiments well defined.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 HELLO = "HELLO"
 TC = "TC"
@@ -202,25 +200,30 @@ def _mask(ids) -> int:
     return mask
 
 
-class _Link(NamedTuple):
-    expiry: float
-    willingness: int
-
-
 class NodeState:
     """Per-node protocol state plus the transition rules that mutate it.
 
     Every neighbor set is a bit mask, bit n for node n, so node ids are
-    non-negative, as a scenario's 0..n-1 are.  ``symmetric`` is the mask of
-    the links whose sender's latest HELLO listed us; it lies within the
-    keys of ``links``, and only the two writers of ``links``
-    (:meth:`process_message` and :meth:`purge_expired`) change it.  Each
-    event costs work in proportion to what it changed:
+    non-negative, as a scenario's 0..n-1 are.  ``links`` maps each
+    neighbor heard to its link's expiry, and ``neighbor_willingness`` the
+    same keys to the willingness of the neighbor's latest HELLO; a HELLO
+    that refreshes a link rewrites one float and writes the willingness
+    only when it changed.  ``symmetric`` is the mask of the links whose
+    sender's latest HELLO listed us; it lies within the keys of ``links``,
+    and only the two writers of ``links`` (:meth:`process_message` and
+    :meth:`purge_expired`) change it.  Each event costs work in proportion
+    to what it changed:
 
-    * ``_next_expiry`` is a lower bound on every stored expiry; every write
-      of an expiry lowers it.  :meth:`purge_expired` returns at once while
-      ``now`` has not passed it, and after a sweep sets it to the earliest
-      expiry left.
+    * Two watermarks guard the expiry sweep.  ``_table_expiry`` is a lower
+      bound on every expiry in ``links``, ``two_hop``, ``topology`` and
+      ``mpr_selectors``; every write of one of those expiries lowers it,
+      and a sweep of those tables sets it to the earliest expiry left, in
+      the same pass that finds the dead entries.  ``_duplicate_front`` is
+      the expiry of the first entry of ``duplicates`` (inf while there is
+      none).  :meth:`purge_expired` returns at once while ``now`` has not
+      passed the lesser of the two (``_next_expiry``), sweeps the tables
+      only once ``now`` passes ``_table_expiry``, and drops duplicates from
+      the front only once ``now`` passes ``_duplicate_front``.
     * ``two_hop`` and ``topology`` hold one bucket per advertising node:
       the mask of the nodes it advertises, with one expiry for the whole
       bucket, because one message writes every entry of it with the same
@@ -229,8 +232,9 @@ class NodeState:
       (``ControlMessage.symmetric_listed``), so a HELLO whose sender's
       bucket is unchanged costs one integer comparison.
     * ``duplicates`` maps the (originator, seq) of every TC we forwarded to
-      its expiry.  It is inserted in expiry order, so the sweep drops its
-      expired entries from the front.
+      its expiry.  Every entry is inserted ``dup_hold_time`` after a
+      nondecreasing ``now``, so the dict is in expiry order and its front
+      is its earliest expiry.
     * ``_two_hop_vias`` is the transpose of ``two_hop``: it maps every
       target some bucket lists to the mask of the neighbors whose buckets
       list it, and it holds no zero mask.  It changes only where a
@@ -248,14 +252,18 @@ class NodeState:
       of a target that is itself a symmetric neighbor keeps it.  Once
       dropped it is selected again when ``mprs`` is next read.
     * The routing table reads exactly the ``symmetric`` mask and the
-      topology buckets.  A change to ``symmetric`` or to a topology
-      bucket's destinations marks it stale, and reading ``routing``
-      recomputes it.  Routes to two-hop neighbors (RFC 3626 section 10,
-      step 3; ROADMAP item 3) will read the two-hop buckets too, and a
-      bucket change must then mark the routes stale as well.
-    * The expiry sweep keeps coarser rules: a dead link or two-hop bucket
-      drops the selection, and a dead link or topology bucket marks the
-      routes stale.
+      topology buckets.  A change to ``symmetric`` marks it stale, and so
+      does a TC whose new bucket can change the table (the rule is in
+      :meth:`_apply_tc`); reading ``routing`` recomputes it.  Routes to
+      two-hop neighbors (RFC 3626 section 10, step 3; ROADMAP item 3)
+      will read the two-hop buckets too, and a bucket change must then
+      mark the routes stale as well.
+    * The expiry sweep keeps a coarser rule for the selection: a dead
+      symmetric link or any dead two-hop bucket drops it.  A dead
+      symmetric link marks the routes stale, and so does a dead topology
+      bucket whose loss can change the table, by :meth:`_apply_tc`'s rule.
+      A dead one-way link drops neither: the selection and the routes
+      never read it or its bucket.
 
     Every call passes a time ``now`` that never decreases from one call to
     the next; the front drop of ``duplicates`` relies on it.  Expired
@@ -267,8 +275,10 @@ class NodeState:
     def __init__(self, self_id: int, config: OlsrConfig, *, now: float = 0.0, rng=None):
         self.self_id = self_id
         self.config = config
-        # neighbor id -> _Link
-        self.links: dict[int, _Link] = {}
+        # neighbor id -> link expiry
+        self.links: dict[int, float] = {}
+        # neighbor id -> advertised willingness; the same keys as links
+        self.neighbor_willingness: dict[int, int] = {}
         # the links whose sender lists us; within the keys of links
         self.symmetric = 0
         # advertising neighbor -> (targets mask, expiry); no mask is zero
@@ -289,7 +299,11 @@ class NodeState:
         # (originator, seq) of a forwarded TC -> expiry, nondecreasing in
         # insertion order
         self.duplicates: dict[tuple[int, int], float] = {}
-        # no stored tuple expires before this time
+        # no link, bucket or selector expires before this time
+        self._table_expiry = math.inf
+        # the expiry of the first duplicate, inf while there is none
+        self._duplicate_front = math.inf
+        # the lesser of the two watermarks above
         self._next_expiry = math.inf
         # destination -> (next hop, hop count), valid unless _routing_stale
         self._routing: dict[int, tuple[int, int]] = {}
@@ -304,7 +318,7 @@ class NodeState:
 
     def symmetric_neighbors(self) -> dict[int, int]:
         """Symmetric neighbor id -> advertised willingness, by ascending id."""
-        return {n: self.links[n].willingness for n in _ids(self.symmetric)}
+        return {n: self.neighbor_willingness[n] for n in _ids(self.symmetric)}
 
     def strict_two_hop(self) -> dict[int, int]:
         """Strict two-hop target -> bit mask of the symmetric neighbors that reach it.
@@ -363,9 +377,11 @@ class NodeState:
             else:
                 symmetric = old_symmetric & ~bit
             will = msg.willingness if msg.willingness is not None else WILL_DEFAULT
-            old = self.links.get(sender)
+            will_changed = self.neighbor_willingness.get(sender) != will
+            if will_changed:
+                self.neighbor_willingness[sender] = will
             link_expiry = now + self.config.neighb_hold_time
-            self.links[sender] = _Link(link_expiry, will)
+            self.links[sender] = link_expiry
             expiry = now + msg.validity_time
 
             # two-hop entries come from the sender's symmetric links only:
@@ -382,33 +398,36 @@ class NodeState:
 
             if msg.mpr_listed >> self_id & 1:
                 self.mpr_selectors[sender] = expiry
-            if link_expiry < self._next_expiry:
-                self._next_expiry = link_expiry
-            if expiry < self._next_expiry:
-                self._next_expiry = expiry
+            earliest = link_expiry if link_expiry < expiry else expiry
+            if earliest < self._table_expiry:
+                self._lower_table_expiry(earliest)
 
             if symmetric != old_symmetric:
                 self.symmetric = symmetric
                 self._selection = None
                 self._routing_stale = True
-            elif symmetric & bit and (old.willingness != will or flipped & ~symmetric):
+            elif symmetric & bit and (will_changed or flipped & ~symmetric):
                 self._selection = None
             return False
 
         if self._apply_tc(msg, now):
             self._routing_stale = True
         key = (msg.originator, msg.seq)
-        if key in self.duplicates or msg.ttl <= 1 or sender not in self.mpr_selectors:
+        duplicates = self.duplicates
+        if key in duplicates or msg.ttl <= 1 or sender not in self.mpr_selectors:
             return False
         expiry = now + self.config.dup_hold_time
-        self.duplicates[key] = expiry
-        if expiry < self._next_expiry:
-            self._next_expiry = expiry
+        if not duplicates:
+            # later entries expire no earlier, so only the first sets the front
+            self._duplicate_front = expiry
+            if expiry < self._next_expiry:
+                self._next_expiry = expiry
+        duplicates[key] = expiry
         return True
 
     def _apply_tc(self, msg: ControlMessage, now: float) -> bool:
-        """Apply a TC's advertisement; return whether the originator's
-        advertised destinations changed.
+        """Apply a TC's advertisement; return whether the new bucket can
+        change the routing table.
 
         A TC whose seq is above every seq seen from its originator replaces
         the originator's bucket, and any other TC is ignored.  The seq
@@ -422,6 +441,29 @@ class NodeState:
           where the RFC refreshes every tuple it lists.  A node bumps the
           seq for every TC it sends, so an equal seq is a copy of a TC
           already applied.
+
+        A bucket whose destinations are unchanged cannot change the table.
+        Nor can a changed one while the routes are current and either
+
+        * the originator ``o`` has no route, since the search reads only
+          the buckets of the nodes it reaches; or
+        * with ``(nh, h)`` the route to ``o``, every added destination
+          already has a route of fewer than ``h + 1`` hops, or of ``h + 1``
+          hops through a next hop ``<= nh``, and no removed destination
+          has the route ``(nh, h + 1)``.
+
+        The argument for the second case: :func:`compute_routing_table`
+        gives each destination its breadth-first distance ``d`` and the
+        least next hop among its predecessors at distance ``d - 1``, where
+        ``o`` offers ``nh`` at ``h`` to the destinations it lists.  An added
+        edge from ``o`` to a node at ``h + 1`` hops or fewer shortens no
+        path, and at ``h + 1`` it offers ``nh``, which the node's own next
+        hop already does not exceed.  A removed destination at fewer than
+        ``h + 1`` hops lost an edge no shortest path uses; one at ``h + 1``
+        with a next hop other than ``nh`` has a lower one, so another
+        predecessor at ``h`` hops offers it and keeps both its distance
+        and its next hop.  So every distance and next hop stays, and the
+        table is the one stored.
         """
         origin = msg.originator
         last = self._topo_seq.get(origin)
@@ -433,9 +475,38 @@ class NodeState:
         if dests:
             expiry = now + msg.validity_time
             self.topology[origin] = (dests, expiry)
-            if expiry < self._next_expiry:
-                self._next_expiry = expiry
-        return dests != old_dests
+            if expiry < self._table_expiry:
+                self._lower_table_expiry(expiry)
+        changed = dests ^ old_dests
+        if not changed:
+            return False
+        return self._routing_stale or self._moves_routes(origin, changed & dests,
+                                                         changed & old_dests)
+
+    def _moves_routes(self, origin: int, added: int, removed: int) -> bool:
+        """Whether adding the ``added`` and removing the ``removed``
+        destinations of ``origin``'s topology bucket can change the current
+        routing table, by the rule that :meth:`_apply_tc` states."""
+        routing = self._routing
+        route = routing.get(origin)
+        if route is None:
+            return False
+        next_hop, hops = route
+        hops += 1
+        # bit loops, not _ids: most TCs that change a bucket come here
+        while added:
+            low = added & -added
+            old = routing.get(low.bit_length() - 1)
+            if old is None or old[1] > hops or old[1] == hops and old[0] > next_hop:
+                return True
+            added ^= low
+        through = (next_hop, hops)
+        while removed:
+            low = removed & -removed
+            if routing.get(low.bit_length() - 1) == through:
+                return True
+            removed ^= low
+        return False
 
     # -- periodic emission ----------------------------------------------
 
@@ -499,44 +570,76 @@ class NodeState:
         Losing a link cascades: the two-hop bucket advertised by that
         neighbor and its MPR-selector registration go with it.  Returns
         True when anything was removed.  Costs O(1) while ``now`` has not
-        passed the earliest-expiry watermark, and otherwise O(links +
-        buckets + duplicates removed).  ``now`` must not decrease between
-        calls (see the class docstring).
+        passed either watermark (see the class docstring), O(duplicates
+        removed) once it passes only the duplicate front, and one pass over
+        links, buckets and selectors once it passes the table watermark.
+        ``now`` must not decrease between calls.
         """
         if now <= self._next_expiry:
             return False
-        dead_links = [n for n, l in self.links.items() if l.expiry < now]
+        removed = False
+        if now > self._duplicate_front:
+            removed = True  # the first duplicate at least
+            duplicates = self.duplicates
+            dead = []
+            front = math.inf
+            for key, expiry in duplicates.items():
+                if expiry >= now:
+                    front = expiry
+                    break
+                dead.append(key)
+            for key in dead:
+                del duplicates[key]
+            self._duplicate_front = front
+        if now > self._table_expiry and self._sweep_tables(now):
+            removed = True
+        table_expiry = self._table_expiry
+        front = self._duplicate_front
+        self._next_expiry = table_expiry if table_expiry < front else front
+        return removed
+
+    def _sweep_tables(self, now: float) -> bool:
+        """Drop the expired links, buckets and selectors, set the table
+        watermark to the earliest expiry left, and return whether anything
+        was removed."""
+        links = self.links
+        dead_links, earliest = _expired(links, now)
+        lost = 0  # the symmetric links among the dead
         for nbr in dead_links:
-            del self.links[nbr]
-            self.symmetric &= ~(1 << nbr)
+            del links[nbr]
+            del self.neighbor_willingness[nbr]
+            lost |= self.symmetric & 1 << nbr
             self._reindex(nbr, self.two_hop.pop(nbr, (0, None))[0])
             self.mpr_selectors.pop(nbr, None)
-        dead_two_hop = [via for via, (_, exp) in self.two_hop.items() if exp < now]
+        if lost:
+            self.symmetric ^= lost
+            self._selection = None
+            self._routing_stale = True
+        # the dead links' buckets and selectors are gone, so the passes
+        # below see only what survives the cascade
+        dead_two_hop, two_hop_earliest = _expired_buckets(self.two_hop, now)
         for via in dead_two_hop:
             self._reindex(via, self.two_hop.pop(via)[0])
-        dead_topology = [last for last, (_, exp) in self.topology.items() if exp < now]
-        for last in dead_topology:
-            del self.topology[last]
-        selectors_removed = _drop_expired(self.mpr_selectors, now)
-        # inserted in expiry order, so the expired ones lead
-        dead_duplicates = [key for key, _ in itertools.takewhile(
-            lambda item: item[1] < now, self.duplicates.items())]
-        for key in dead_duplicates:
-            del self.duplicates[key]
-
-        self._next_expiry = min(
-            [l.expiry for l in self.links.values()]
-            + [exp for _, exp in self.two_hop.values()]
-            + [exp for _, exp in self.topology.values()]
-            + list(self.mpr_selectors.values())
-            + [next(iter(self.duplicates.values()), math.inf)]
-        )
-        if dead_links or dead_two_hop:
             self._selection = None
-        if dead_links or dead_topology:
-            self._routing_stale = True
-        return bool(dead_links or dead_two_hop or dead_topology or selectors_removed
-                    or dead_duplicates)
+        dead_topology, topology_earliest = _expired_buckets(self.topology, now)
+        for last in dead_topology:
+            # a loss that moves no route leaves the stored table current
+            # for the next one
+            lost_dests = self.topology.pop(last)[0]
+            if not self._routing_stale and self._moves_routes(last, 0, lost_dests):
+                self._routing_stale = True
+        dead_selectors, selectors_earliest = _expired(self.mpr_selectors, now)
+        for nbr in dead_selectors:
+            del self.mpr_selectors[nbr]
+        self._table_expiry = min(earliest, two_hop_earliest, topology_earliest,
+                                 selectors_earliest)
+        return bool(dead_links or dead_two_hop or dead_topology or dead_selectors)
+
+    def _lower_table_expiry(self, expiry: float) -> None:
+        """Lower the table watermark, and the shared one with it, to ``expiry``."""
+        self._table_expiry = expiry
+        if expiry < self._next_expiry:
+            self._next_expiry = expiry
 
     # -- derived tables ---------------------------------------------------
 
@@ -587,12 +690,29 @@ def compute_routing_table(state: NodeState) -> dict[int, tuple[int, int]]:
     return {d: table[d] for d in sorted(table)}
 
 
-def _drop_expired(table: dict, now: float) -> bool:
-    """Delete every entry of a key -> expiry table that lies strictly in the past."""
-    dead = [key for key, expiry in table.items() if expiry < now]
-    for key in dead:
-        del table[key]
-    return bool(dead)
+def _expired(table: dict, now: float) -> tuple[list, float]:
+    """The keys of a key -> expiry table that lie strictly in the past, and
+    the earliest expiry of the others (inf if none), in one pass."""
+    dead = []
+    earliest = math.inf
+    for key, expiry in table.items():
+        if expiry < now:
+            dead.append(key)
+        elif expiry < earliest:
+            earliest = expiry
+    return dead, earliest
+
+
+def _expired_buckets(table: dict, now: float) -> tuple[list, float]:
+    """:func:`_expired` for a key -> (mask, expiry) bucket table."""
+    dead = []
+    earliest = math.inf
+    for key, (_, expiry) in table.items():
+        if expiry < now:
+            dead.append(key)
+        elif expiry < earliest:
+            earliest = expiry
+    return dead, earliest
 
 
 def _jitter(rng, interval: float) -> float:

@@ -20,7 +20,6 @@ from olsrlab.olsr import (
     WILL_NEVER,
     NodeState,
     OlsrConfig,
-    _Link,
 )
 
 INF = math.inf
@@ -209,11 +208,13 @@ def random_snapshot(rng: random.Random):
     state = NodeState(0, OlsrConfig())
     others = list(range(1, 20))
     for n in rng.sample(others, rng.randint(1, 6)):
-        state.links[n] = _Link(INF, WILL_DEFAULT)
+        state.links[n] = INF
+        state.neighbor_willingness[n] = WILL_DEFAULT
         state.symmetric |= 1 << n
     spare = [v for v in others if v not in state.links]
     for n in rng.sample(spare, rng.randint(0, 3)):
-        state.links[n] = _Link(INF, WILL_DEFAULT)  # one-way: not in symmetric
+        state.links[n] = INF  # one-way: not in symmetric
+        state.neighbor_willingness[n] = WILL_DEFAULT
     edges = {}
     for _ in range(rng.randint(5, 60)):
         dest, last = rng.randint(1, 19), rng.randint(0, 19)

@@ -515,12 +515,13 @@ def test_optimize_refuses_a_corrupt_manifest_naming_its_file(tmp_path, capsys):
     # resume joins the algorithms to a list and takes the larger runs
     (dict(algorithms="RAND"), "algorithms must be a list of names"),
     (dict(algorithms=["RAND", 3]), "algorithms must be a list of names"),
+    (dict(algorithms=["FOO"]), "unknown algorithm 'FOO'"),
     (dict(runs=1.5), "runs must be a positive integer"),
     (dict(runs="2"), "runs must be a positive integer"),
     (dict(runs=True), "runs must be a positive integer"),
     (dict(runs=0), "runs must be a positive integer"),
-], ids=["algorithms-a-string", "algorithms-not-names", "runs-a-float", "runs-a-string",
-        "runs-a-bool", "runs-0"])
+], ids=["algorithms-a-string", "algorithms-not-names", "algorithms-unknown",
+        "runs-a-float", "runs-a-string", "runs-a-bool", "runs-0"])
 def test_optimize_refuses_a_manifest_field_of_the_wrong_type_naming_its_file(
         tmp_path, capsys, settings, message):
     outdir = tmp_path / "camp"

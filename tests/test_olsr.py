@@ -18,7 +18,6 @@ from olsrlab.olsr import (
     ControlMessage,
     NodeState,
     OlsrConfig,
-    _Link,
     compute_routing_table,
     select_mprs,
 )
@@ -58,7 +57,8 @@ def tc(origin, selectors, *, seq=1, validity=15.0, ttl=CONTROL_TTL):
 
 def link(state, n, *, symmetric=True):
     """Store a never-expiring link to ``n``, as a HELLO from it would."""
-    state.links[n] = _Link(INF, WILL_DEFAULT)
+    state.links[n] = INF
+    state.neighbor_willingness[n] = WILL_DEFAULT
     if symmetric:
         state.symmetric |= 1 << n
 
@@ -190,7 +190,7 @@ def test_hello_link_expiry_uses_receiver_hold_time():
     # neighb_hold_time; two-hop entries use the sender's advertised validity
     state = NodeState(1, OlsrConfig(neighb_hold_time=6.0))
     state.process_message(hello(2, sym=[1, 7], validity=99.0), 2, 10.0)
-    assert state.links[2].expiry == 16.0
+    assert state.links[2] == 16.0
     assert state.two_hop[2] == (1 << 7, 109.0)
 
 
@@ -353,6 +353,58 @@ def test_tc_older_than_an_expired_bucket_is_still_refused():
     assert topology_pairs(state) == {(6, 9)}
 
 
+def routed(*neighbors, tcs=()):
+    """A node 1 with the given symmetric neighbors and TCs applied, and its
+    routes read, so they are current."""
+    state = NodeState(1, OlsrConfig())
+    for n in neighbors:
+        state.process_message(hello(n, sym=[1]), n, 0.0)
+    for msg in tcs:
+        state.process_message(msg, msg.originator, 0.0)
+    state.routing
+    return state
+
+
+def test_tc_that_cannot_move_a_route_keeps_the_routes_current():
+    state = routed(2, 3, tcs=[tc(2, (5,)), tc(3, (6,))])
+    table = state.routing
+    assert table == {2: (2, 1), 3: (3, 1), 5: (2, 2), 6: (3, 2)}
+    # 3 adds 5, which already has 2 hops through the lower next hop 2
+    state.process_message(tc(3, (5, 6), seq=2), 3, 1.0)
+    # 5 (at 2 hops through 2) adds 6, already reached in 2 hops
+    state.process_message(tc(5, (6,)), 2, 1.0)
+    # 7 has no route, so its bucket is never read
+    state.process_message(tc(7, (8,)), 2, 1.0)
+    assert state._routing_stale is False
+    assert state.routing == compute_routing_table(state) == table
+
+
+def test_tc_that_offers_a_lower_next_hop_at_equal_hops_marks_the_routes_stale():
+    state = routed(2, 3, tcs=[tc(2, (5,)), tc(3, (6,)), tc(6, (7,))])
+    assert state.routing == {2: (2, 1), 3: (3, 1), 5: (2, 2), 6: (3, 2), 7: (3, 3)}
+    # 5, at 2 hops through 2, adds 7, at 3 hops through 3
+    state.process_message(tc(5, (7,)), 2, 1.0)
+    assert state._routing_stale is True
+    assert state.routing == {2: (2, 1), 3: (3, 1), 5: (2, 2), 6: (3, 2), 7: (2, 3)}
+    # 2 adds 6, at 2 hops through 3
+    state.process_message(tc(2, (5, 6), seq=2), 2, 2.0)
+    assert state._routing_stale is True
+    assert state.routing == {2: (2, 1), 3: (3, 1), 5: (2, 2), 6: (2, 2), 7: (2, 3)}
+
+
+def test_tc_that_removes_a_route_through_its_originator_marks_the_routes_stale():
+    state = routed(2, 3, tcs=[tc(2, (5, 6)), tc(3, (5,))])
+    assert state.routing == {2: (2, 1), 3: (3, 1), 5: (2, 2), 6: (2, 2)}
+    # 5 keeps its route through 2 when 3 drops it
+    state.process_message(tc(3, (), seq=2), 3, 1.0)
+    assert state._routing_stale is False
+    assert state.routing == compute_routing_table(state)
+    # 6 is routed (2, 2) through 2, which now drops it
+    state.process_message(tc(2, (5,), seq=2), 2, 1.0)
+    assert state._routing_stale is True
+    assert state.routing == {2: (2, 1), 3: (3, 1), 5: (2, 2)}
+
+
 def test_tc_skips_self_as_destination():
     state = NodeState(1, OlsrConfig())
     state.process_message(tc(9, (1, 4)), 2, 0.0)
@@ -490,6 +542,50 @@ def test_purge_cascades_through_a_dead_link():
     assert not state.links and not state.two_hop and not state.mpr_selectors
     assert state.symmetric == 0
     assert state.routing == {}
+
+
+def test_purge_past_only_a_duplicate_drops_it_and_touches_no_table():
+    state = NodeState(1, OlsrConfig(neighb_hold_time=6.0, dup_hold_time=3.0))
+    state.process_message(hello(2, sym=[5], mpr=[1], validity=100.0), 2, 0.0)
+    state.process_message(tc(9, (4,), validity=50.0), 2, 0.0)   # dup expiry 3
+    selection, table = state.mprs, state.routing
+    tables = (dict(state.links), dict(state.two_hop), dict(state.topology),
+              dict(state.mpr_selectors))
+    assert state.purge_expired(4.0) is True
+    assert not state.duplicates
+    assert (state.links, state.two_hop, state.topology, state.mpr_selectors) == tables
+    assert state._selection == selection and state._routing_stale is False
+    assert state.routing == table
+    # the next purge waits for the link's expiry
+    assert state._table_expiry == state._next_expiry == 6.0
+    assert state.purge_expired(6.0) is False
+
+
+def test_purge_of_a_one_way_link_keeps_the_selection_and_routes():
+    state = NodeState(1, OlsrConfig(neighb_hold_time=6.0))
+    state.process_message(hello(3, sym=[5]), 3, 0.0)        # one-way, expiry 6
+    state.process_message(hello(2, sym=[1, 5]), 2, 4.0)     # symmetric, expiry 10
+    selection, table = state.mprs, state.routing
+    assert bits(selection) == [2] and table == {2: (2, 1)}
+    assert state.purge_expired(7.0) is True
+    assert 3 not in state.links and 3 not in state.two_hop
+    assert state._selection == selection and state._routing_stale is False
+    assert state.routing == table
+
+
+def test_purge_of_a_topology_bucket_no_route_uses_keeps_the_routes():
+    # the links live until 6, 2's bucket until 4 and 3's until 2
+    state = routed(2, 3, tcs=[tc(2, (5,), validity=4.0), tc(3, (5,), validity=2.0)])
+    table = state.routing
+    assert table == {2: (2, 1), 3: (3, 1), 5: (2, 2)}
+    # 3's bucket expires, but 5 is routed through 2
+    assert state.purge_expired(3.0) is True
+    assert 3 not in state.topology
+    assert state._routing_stale is False and state.routing == table
+    # 2's bucket expires, and with it the route to 5
+    assert state.purge_expired(5.0) is True
+    assert state._routing_stale is True
+    assert state.routing == {2: (2, 1), 3: (3, 1)}
 
 
 def test_purge_drops_expired_topology_and_duplicates():
