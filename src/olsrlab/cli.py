@@ -12,12 +12,11 @@ wall-clock fields are the records' timing fields and ``summary.json``'s
 
 Campaigns persist one record file per (algorithm, seed) and resume by
 skipping records that already exist, so an interrupted run can simply be
-restarted with the same flags.  ``campaign.json`` is written once, before
-the first run; a restart that adds algorithms or runs is accepted, but one
-whose scenario, budget, population, base seed or eval seed differ from
-it is refused before any record is written.  The manifest describes the
-whole campaign: every algorithm any invocation named, in first-named
-order, and the most runs any asked for.
+restarted with the same flags.  ``campaign.json`` holds only the settings
+every record shares and is written once, before the first run of a new
+outdir, and never rewritten; a restart that adds algorithms or runs is
+accepted, but one whose scenario, budget, population, base seed or eval
+seed differ from it is refused before any record is written.
 
 Each input has one form.  A scenario is a bundled name or a
 :func:`~olsrlab.scenario.save_scenario` file; a config is a bundled label
@@ -183,12 +182,13 @@ def _write_summary(outdir: str, by_alg: dict[str, list[RunRecord]]) -> dict:
 CAMPAIGN_KEYS = ("scenario", "budget", "population", "base_seed", "eval_seed")
 
 
-def _check_same_campaign(path: str, manifest: dict) -> dict | None:
+def _check_same_campaign(path: str, manifest: dict) -> bool:
     """Refuse to resume a campaign whose shared settings differ, or whose
-    manifest is malformed; return the existing manifest, or None for a new
-    campaign."""
+    manifest is malformed; return whether there is one to resume.  Other
+    keys, such as the ``algorithms`` and ``runs`` that older manifests
+    list, are not read."""
     if not os.path.exists(path):
-        return None
+        return False
     with open(path) as fh:
         try:
             existing = json.load(fh)
@@ -196,24 +196,16 @@ def _check_same_campaign(path: str, manifest: dict) -> dict | None:
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(existing, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(existing).__name__}")
-    algorithms, runs = existing.get("algorithms"), existing.get("runs")
-    if not (isinstance(algorithms, list) and all(isinstance(a, str) for a in algorithms)):
-        raise ValueError(f"{path}: algorithms must be a list of names, got {algorithms!r}")
-    for a in algorithms:
-        if a not in ALGORITHMS:
-            raise ValueError(f"{path}: unknown algorithm {a!r}; pick from {', '.join(ALGORITHMS)}")
-    if not isinstance(runs, int) or isinstance(runs, bool) or runs < 1:
-        raise ValueError(f"{path}: runs must be a positive integer, got {runs!r}")
     differing = [f"{key} {existing.get(key)!r} != {manifest[key]!r}"
                  for key in CAMPAIGN_KEYS if existing.get(key) != manifest[key]]
     if differing:
         raise ValueError(f"{path} belongs to another campaign ({'; '.join(differing)}); "
                          "use another --outdir")
-    return existing
+    return True
 
 
 def cmd_optimize(args) -> int:
-    # repeats dropped in first-named order, as the union on resume drops them
+    # a repeated name runs once, in first-named order
     algorithms = list(dict.fromkeys(a.strip().upper() for a in args.algorithms.split(",")))
     for a in algorithms:
         if a not in ALGORITHMS:
@@ -230,22 +222,16 @@ def cmd_optimize(args) -> int:
     manifest = {
         "format": "olsrlab-campaign-v1",
         "scenario": spec.name,
-        "algorithms": algorithms,
-        "runs": args.runs,
         "budget": args.budget,
         "population": args.population,
         "base_seed": args.base_seed,
         "eval_seed": args.eval_seed,
         "weights": dict(COST_WEIGHTS),
     }
-    existing = _check_same_campaign(manifest_path, manifest)
-    if existing is not None:
-        earlier = existing["algorithms"]
-        manifest["algorithms"] = earlier + [a for a in algorithms if a not in earlier]
-        manifest["runs"] = max(existing["runs"], args.runs)
+    resuming = _check_same_campaign(manifest_path, manifest)
     os.makedirs(records_dir, exist_ok=True)
-
-    _atomic_write(manifest_path, json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    if not resuming:
+        _atomic_write(manifest_path, json.dumps(manifest, sort_keys=True, indent=1) + "\n")
     executed = 0
     for algorithm in algorithms:
         for i in range(args.runs):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import statistics
-import time
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -32,12 +31,11 @@ COST_WEIGHTS = MappingProxyType({"pdr": 0.5, "nrl": 0.2, "e2ed": 0.3})
 
 @dataclass(frozen=True)
 class Evaluation:
-    """One scored candidate: decoded config, metrics, cost and wall time."""
+    """One scored candidate: decoded config, metrics and cost."""
 
     config: OlsrConfig
     metrics: QosMetrics | None
     cost: float
-    wall_time: float
 
 
 def comm_cost(metrics: QosMetrics) -> float:
@@ -76,12 +74,10 @@ class OlsrObjective:
         self.seeds = tuple(int(s) for s in seeds)
 
     def evaluate(self, raw) -> Evaluation:
-        started = time.perf_counter()
         config = decode_params(raw)
         per_seed = [run_simulation(self.scenario, config, seed) for seed in self.seeds]
         metrics = _median_metrics(per_seed)
-        cost = comm_cost(metrics)
-        return Evaluation(config, metrics, cost, time.perf_counter() - started)
+        return Evaluation(config, metrics, comm_cost(metrics))
 
     def __call__(self, raw) -> Evaluation:
         return self.evaluate(raw)

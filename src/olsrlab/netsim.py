@@ -125,7 +125,6 @@ def collect_metrics(counters: Counters, duration: float) -> QosMetrics:
 @dataclass(slots=True)
 class DataPacket:
     uid: tuple[int, int]      # (session index, packet index)
-    source: int
     dest: int
     origin_time: float
     size_bytes: int
@@ -133,14 +132,13 @@ class DataPacket:
 
 
 class Frame:
-    __slots__ = ("payload", "dest", "size_bytes", "attempts", "is_control")
+    __slots__ = ("payload", "dest", "size_bytes", "attempts")
 
     def __init__(self, payload, dest: int | None, size_bytes: int):
         self.payload = payload            # ControlMessage or DataPacket
-        self.dest = dest                  # None = broadcast
+        self.dest = dest                  # None = broadcast, a control frame
         self.size_bytes = size_bytes
         self.attempts = 0
-        self.is_control = isinstance(payload, ControlMessage)
 
 
 class _Transmission:
@@ -175,7 +173,6 @@ class Simulator:
             raise ValueError("scenario has no CBR sessions; nothing to measure")
         config.validate()
         self.scenario = scenario
-        self.config = config
         self.rng = Random(seed)
         self.counters = Counters()
         self.now = 0.0
@@ -291,7 +288,7 @@ class Simulator:
         node = self.nodes[source]
         node.state.purge_expired(self.now)
         self._schedule_cbr(si, k + 1, session)
-        packet = DataPacket((si, k), source, session.dest, self.now, session.packet_size)
+        packet = DataPacket((si, k), session.dest, self.now, session.packet_size)
         self.counters.data_sent += 1
         if self._event_log is not None:
             self._log(source, "cbr-send", f"uid={si}:{k} dest={session.dest}")
@@ -331,7 +328,7 @@ class Simulator:
         start = now + self.rng.uniform(0.0, self._backoff_window)
         end = start + frame.size_bytes * 8.0 / self._bandwidth
         frame.attempts += 1
-        if frame.is_control:
+        if frame.dest is None:
             self.counters.routing_tx += 1
         tx = _Transmission(node_id, start, end, frame, trace.position(node_id, start))
         self._transmissions.append(tx)
@@ -371,10 +368,10 @@ class Simulator:
             elif frame.attempts <= self._max_retransmissions:
                 self._schedule(now, FRAME_SEND, node_id)
             else:
-                if not frame.is_control:
-                    self.counters.dropped_mac += 1
-                    self._log(node_id, "frame-txend",
-                              f"drop-mac uid={frame.payload.uid[0]}:{frame.payload.uid[1]}")
+                # a unicast frame carries data
+                self.counters.dropped_mac += 1
+                self._log(node_id, "frame-txend",
+                          f"drop-mac uid={frame.payload.uid[0]}:{frame.payload.uid[1]}")
                 self._finish_frame(self.nodes[node_id])
         # prune after the verdicts: a transmission that ended before every
         # other one still on the air began (and before now, the earliest

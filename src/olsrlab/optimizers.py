@@ -114,7 +114,6 @@ class RunRecord:
         if include_timing:
             summary["time_to_best"] = self.time_to_best
             summary["total_time"] = self.total_time
-            summary["best_wall_time"] = self.best.wall_time
         lines = [RUN_FORMAT, json.dumps(header, sort_keys=True)]
         for index, cost, candidate in self.trajectory:
             lines.append(f"{index} {cost!r} " + " ".join(repr(v) for v in candidate))
@@ -123,8 +122,10 @@ class RunRecord:
 
     @classmethod
     def from_text(cls, text: str) -> "RunRecord":
-        """Parse :meth:`to_text` output; the ``best_seed`` key that older
-        records carry is ignored.  Any other text raises ValueError."""
+        """Parse :meth:`to_text` output; the ``best_seed`` and
+        ``best_wall_time`` keys that older records carry are ignored.  Any
+        other text, a record of an unknown algorithm or one whose seed is not
+        a non-negative integer included, raises ValueError."""
         lines = text.strip().splitlines()
         if not lines or lines[0] != RUN_FORMAT:
             raise ValueError(f"unsupported run record format: {lines[:1]!r}")
@@ -142,14 +143,20 @@ class RunRecord:
                 config=OlsrConfig(**summary["best_config"]),
                 metrics=QosMetrics(**metrics) if metrics is not None else None,
                 cost=summary["best_cost"],
-                wall_time=summary.get("best_wall_time", 0.0),
             )
             # search never writes one: the recorder refuses a non-finite cost
             if not all(math.isfinite(c) for c in (best.cost, *(t[1] for t in trajectory))):
                 raise ValueError("malformed run record: non-finite cost")
+            algorithm, seed = header["algorithm"], header["seed"]
+            if algorithm not in ALGORITHMS:
+                raise ValueError(f"malformed run record: unknown algorithm {algorithm!r}")
+            # a campaign sorts its records by seed
+            if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+                raise ValueError(f"malformed run record: seed {seed!r} is not "
+                                 "a non-negative integer")
             return cls(
-                algorithm=header["algorithm"],
-                seed=header["seed"],
+                algorithm=algorithm,
+                seed=seed,
                 trajectory=trajectory,
                 best=best,
                 best_index=summary["best_index"],
@@ -394,12 +401,7 @@ def search(opt_config: OptimizerConfig, objective) -> RunRecord:
     total = time.perf_counter() - rec.started
     best = rec.best
     if not isinstance(best, Evaluation):
-        best = Evaluation(
-            config=decode_params(rec.trajectory[rec.best_index][2]),
-            metrics=None,
-            cost=rec.best_cost,
-            wall_time=0.0,
-        )
+        best = Evaluation(decode_params(rec.trajectory[rec.best_index][2]), None, rec.best_cost)
     return RunRecord(
         algorithm=opt_config.algorithm,
         seed=opt_config.seed,

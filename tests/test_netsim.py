@@ -396,7 +396,7 @@ def test_tied_reception_sets_merge_by_receiver_then_insertion():
 
 def test_hop_budget_drop():
     sim = Simulator(catalog()["static-mesh-smoke"], OlsrConfig(), 1)
-    stale = DataPacket((0, 0), 0, 4, 0.0, 512, hop_count=DATA_TTL_HOPS)
+    stale = DataPacket((0, 0), 4, 0.0, 512, hop_count=DATA_TTL_HOPS)
     sim.route_data_packet(stale, 2, 0.0)
     assert sim.counters.dropped_ttl == 1
     assert sim.counters.data_delivered == 0

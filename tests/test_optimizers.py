@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -267,18 +268,36 @@ def test_record_without_timing_round_trips_with_zeroed_clocks():
     clone = RunRecord.from_text(record.to_text(include_timing=False))
     assert clone.trajectory == record.trajectory
     assert clone.best.cost == record.best.cost
-    assert (clone.time_to_best, clone.total_time, clone.best.wall_time) == (0.0, 0.0, 0.0)
+    assert (clone.time_to_best, clone.total_time) == (0.0, 0.0)
 
 
-def test_record_with_a_best_seed_loads_and_is_rewritten_without_it():
+@pytest.mark.parametrize("key", ["best_seed", "best_wall_time"])
+def test_record_with_a_best_seed_loads_and_is_rewritten_without_it(key):
+    # older records carry these keys; nothing reads them
     record = search(OptimizerConfig("RAND", budget=3, seed=4), sphere)
     lines = record.to_text().splitlines()
     summary = json.loads(lines[-1])
-    summary["best_seed"] = 4
+    summary[key] = 4
     older = "\n".join(lines[:-1] + [json.dumps(summary, sort_keys=True)]) + "\n"
     clone = RunRecord.from_text(older)
     assert clone == record
-    assert "best_seed" not in clone.to_text()
+    assert key not in clone.to_text()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("seed", "2", "seed '2'"),
+    ("seed", 1.0, "seed 1.0"),
+    ("seed", True, "seed True"),
+    ("seed", -1, "seed -1"),
+    ("algorithm", "FOO", "unknown algorithm 'FOO'"),
+    ("algorithm", "rand", "unknown algorithm 'rand'"),
+])
+def test_from_text_rejects_a_header_no_search_writes(field, value, message):
+    record = search(OptimizerConfig("RAND", budget=3, seed=4), sphere)
+    lines = record.to_text().splitlines()
+    header = {**json.loads(lines[1]), field: value}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunRecord.from_text("\n".join([lines[0], json.dumps(header)] + lines[2:]) + "\n")
 
 
 def test_from_text_rejects_other_formats():
@@ -294,7 +313,7 @@ def test_from_text_rejects_a_non_finite_cost(where, value):
         index, _, candidate = record.trajectory[1]
         record.trajectory[1] = (index, value, candidate)
     else:
-        record.best = Evaluation(record.best.config, None, value, 0.0)
+        record.best = Evaluation(record.best.config, None, value)
     with pytest.raises(ValueError, match="non-finite cost"):
         RunRecord.from_text(record.to_text())
 
@@ -340,7 +359,6 @@ def records(draw):
         config=decode_params(draw(vectors)),
         metrics=draw(st.none() | metrics),
         cost=draw(finite),
-        wall_time=draw(nonnegative),
     )
     return RunRecord(
         algorithm=draw(st.sampled_from(ALGORITHMS)),
@@ -359,8 +377,6 @@ def test_record_text_round_trips_any_finite_record(record, include_timing):
     clone = RunRecord.from_text(record.to_text(include_timing))
     if not include_timing:
         record.time_to_best = record.total_time = 0.0
-        record.best = Evaluation(record.best.config, record.best.metrics, record.best.cost,
-                                 0.0)
     assert clone == record
 
 
