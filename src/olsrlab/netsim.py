@@ -4,17 +4,26 @@ The model is deliberately small but honest about the effects that matter
 for protocol tuning:
 
 * disk radio: a frame reaches every node within ``tx_range`` of the
-  transmitter, positions sampled at transmission start; only the
-  transmitter's receiver candidates for that time are tested
-  (:meth:`MobilityTrace.receiver_candidates`), a superset of the nodes in
-  range, so the exact distance test decides every verdict as if all nodes
-  were tested;
+  transmitter, positions sampled at transmission start.  A broadcast's
+  verdicts read the transmitter's entry in the receiver-candidate table for that
+  time (:meth:`MobilityTrace.receiver_candidates`): a node in its ``sure``
+  mask is in range, with no position lookup; a node in the ring
+  (``near & ~sure``) gets the exact distance test; a node outside
+  ``near`` is out of range.  Both masks hold for the positions of a pair
+  at any two times in one candidate slot, so every verdict equals the
+  exact test of every node;
 * carrier sense with random backoff: a sender checks the channel, defers
   while an in-range node is transmitting, then starts after a uniform
   backoff without re-checking, which leaves the usual vulnerability
   window in which two senders (in range or hidden) can overlap;
 * overlapping transmissions corrupt frames at common receivers; unicast
-  frames are retried up to ``max_retransmissions``, broadcasts never;
+  frames are retried up to ``max_retransmissions``, broadcasts never.  A
+  broadcast's collision with a rival that began in the same candidate
+  slot is settled from the rival transmitter's entry (``sure``: corrupted,
+  outside ``near``: clear), since the receiver's position at the frame's
+  start and the rival's at its own are two times in that slot; a ring
+  receiver, or a rival from another slot, gets the exact test.  Unicast
+  verdicts and carrier sense always use the exact test;
 * airtime is ``bytes * 8 / bandwidth``; one FIFO transmit queue per node.
 
 Events are processed in nondecreasing time with ties broken by
@@ -59,7 +68,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .olsr import ControlMessage, NodeState, OlsrConfig
-from .scenario import ScenarioSpec
+from .scenario import CANDIDATE_SLOT, ScenarioSpec
 
 DATA_TTL_HOPS = 64   # hop budget for data packets
 
@@ -200,7 +209,8 @@ class Simulator:
         heapq.heappush(self._heap, (time, kind, subject, self._insertions, payload))
         self._insertions += 1
 
-    def _schedule_arrivals(self, time: float, receivers: list[int], payload) -> None:
+    def _schedule_arrivals(self, time: float, receivers: list[int] | tuple[int, ...],
+                           payload) -> None:
         """Schedule one frame's arrivals at ``receivers`` (ascending, not
         empty) as one reception set, taking one insertion index each."""
         first = self._insertions
@@ -250,10 +260,11 @@ class Simulator:
             self._schedule_cbr(si, 0, session)
         self._schedule(duration, SIM_END, -1)
 
-        # one handler per kind, in kind order; SIM_END ends the loop instead
-        handlers = (self._on_frame_arrival, self._on_frame_send, self._on_frame_txend,
-                    self._on_periodic_emit, self._on_cbr_send)
-        arrival = handlers[FRAME_ARRIVAL]
+        # one handler per kind, in kind order; the loop calls the arrival
+        # handler and deliver_frame itself, and SIM_END ends it
+        handlers = (None, None, self._on_frame_txend, self._on_periodic_emit,
+                    self._on_cbr_send)
+        arrival, deliver, nodes = self._on_frame_arrival, self.deliver_frame, self.nodes
         heap, pop = self._heap, heapq.heappop
         while heap:
             time, kind, subject, first, payload = pop(heap)
@@ -264,6 +275,8 @@ class Simulator:
                         arrival((receiver,), shared)
                 else:
                     arrival(*payload)
+            elif kind == FRAME_SEND:
+                deliver(nodes[subject], time)
             elif kind == SIM_END:
                 self._log(subject, "sim-end", "")
                 break
@@ -294,9 +307,6 @@ class Simulator:
             self._log(source, "cbr-send", f"uid={si}:{k} dest={session.dest}")
         self.route_data_packet(packet, source, self.now)
 
-    def _on_frame_send(self, node_id: int, _payload) -> None:
-        self.deliver_frame(self.nodes[node_id], self.now)
-
     def deliver_frame(self, node: _SimNode, now: float) -> None:
         """Carrier-sense attempt for the node's current frame.
 
@@ -321,11 +331,13 @@ class Simulator:
                     continue
             if tx.end > busy_until:
                 busy_until = tx.end
+        # w * random() is rng.uniform(0.0, w) bit for bit: uniform returns
+        # 0.0 + (w - 0.0) * r, which equals w * r for finite w >= 0
         if busy_until > 0.0:
-            self._schedule(busy_until + self.rng.uniform(0.0, self._backoff_window),
+            self._schedule(busy_until + self._backoff_window * self.rng.random(),
                            FRAME_SEND, node_id)
             return
-        start = now + self.rng.uniform(0.0, self._backoff_window)
+        start = now + self._backoff_window * self.rng.random()
         end = start + frame.size_bytes * 8.0 / self._bandwidth
         frame.attempts += 1
         if frame.dest is None:
@@ -347,11 +359,27 @@ class Simulator:
         trace = self.scenario.trace
         tx_range = self._tx_range
         if frame.dest is None:
-            receivers = []
-            for other in self._candidates(node_id, tx.start):
-                rpos = trace.position(other, tx.start)
-                if math.dist(rpos, tx.pos) <= tx_range and not (
-                        rivals and self._corrupted(rivals, other, rpos)):
+            start, position = tx.start, trace.position
+            ids, near, sure = self._candidates(node_id, start)
+            if not rivals:
+                receivers = ids if near == sure else [
+                    other for other in ids if sure >> other & 1 or
+                    math.dist(position(other, start), tx.pos) <= tx_range]
+            else:
+                corrupt, exact = self._settled_collisions(rivals, start)
+                receivers = []
+                for other in ids:
+                    if corrupt >> other & 1:
+                        continue
+                    if sure >> other & 1:
+                        if exact >> other & 1 and self._corrupted(
+                                rivals, other, position(other, start)):
+                            continue
+                    else:
+                        rpos = position(other, start)
+                        if math.dist(rpos, tx.pos) > tx_range or (
+                                exact >> other & 1 and self._corrupted(rivals, other, rpos)):
+                            continue
                     receivers.append(other)
             if receivers:
                 self._schedule_arrivals(now + self._processing_delay, receivers,
@@ -386,6 +414,34 @@ class Simulator:
             if other.end >= now and other.start < horizon and other is not tx:
                 horizon = other.start
         self._transmissions = [other for other in transmissions if other.end > horizon]
+
+    def _settled_collisions(self, rivals: list[_Transmission],
+                            start: float) -> tuple[int, int]:
+        """Bit masks of the receivers of a frame that began at ``start``
+        whose collision verdict is settled as corrupted, and of those left
+        to the exact test of :meth:`_corrupted`; every other receiver is
+        clear.
+
+        A rival's transmitter cannot receive.  A rival that began in the
+        candidate slot of ``start`` is settled from its transmitter's entry,
+        which holds for a receiver's position at ``start`` and the rival's at
+        its own start: a sure receiver hears it and one outside ``near``
+        does not, so only its ring needs the exact test.  A rival from
+        another slot leaves every receiver to the exact test.
+        """
+        # starts with one slot index read one slot of the table, since it
+        # clamps only indices past its last slot onto that slot
+        slot = int(start / CANDIDATE_SLOT)
+        corrupt = exact = 0
+        for other in rivals:
+            corrupt |= 1 << other.transmitter
+            if int(other.start / CANDIDATE_SLOT) == slot:
+                _, near, sure = self._candidates(other.transmitter, other.start)
+                corrupt |= sure
+                exact |= near & ~sure
+            else:
+                exact = -1
+        return corrupt, exact
 
     def _corrupted(self, rivals: list[_Transmission], receiver: int,
                    receiver_pos: tuple[float, float]) -> bool:

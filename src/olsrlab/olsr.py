@@ -318,7 +318,15 @@ class NodeState:
 
     def symmetric_neighbors(self) -> dict[int, int]:
         """Symmetric neighbor id -> advertised willingness, by ascending id."""
-        return {n: self.neighbor_willingness[n] for n in _ids(self.symmetric)}
+        will = self.neighbor_willingness
+        neighbors = {}
+        mask = self.symmetric
+        while mask:  # a bit loop, not _ids: this runs for every HELLO
+            low = mask & -mask
+            n = low.bit_length() - 1
+            neighbors[n] = will[n]
+            mask ^= low
+        return neighbors
 
     def strict_two_hop(self) -> dict[int, int]:
         """Strict two-hop target -> bit mask of the symmetric neighbors that reach it.
@@ -648,12 +656,15 @@ class NodeState:
         ``flipped`` mask: the targets its bucket gained or lost."""
         bit = 1 << via
         index = self._two_hop_vias
-        for target in _ids(flipped):
+        while flipped:  # a bit loop, not _ids: this runs for every HELLO
+            low = flipped & -flipped
+            target = low.bit_length() - 1
             vias = index.get(target, 0) ^ bit
             if vias:
                 index[target] = vias
             else:
                 del index[target]
+            flipped ^= low
 
 
 def compute_routing_table(state: NodeState) -> dict[int, tuple[int, int]]:
@@ -718,4 +729,5 @@ def _expired_buckets(table: dict, now: float) -> tuple[list, float]:
 def _jitter(rng, interval: float) -> float:
     if rng is None:
         return 0.0
-    return rng.uniform(0.0, interval / 4.0)
+    # rng.uniform(0.0, w) bit for bit, which returns 0.0 + (w - 0.0) * r
+    return interval / 4.0 * rng.random()

@@ -31,6 +31,9 @@ CANDIDATE_SLOT = 1.0
 # interpolated positions and leg speeds, far below any radio range
 CANDIDATE_MARGIN = 1e-3
 
+# a node's receiver candidates in one slot: (ids, near mask, sure mask)
+Candidates = tuple[tuple[int, ...], int, int]
+
 
 @dataclass(frozen=True)
 class RadioMacParams:
@@ -134,46 +137,79 @@ class MobilityTrace:
         frac = (time - t0) / span
         return x0 + frac * dx, y0 + frac * dy
 
-    def receiver_candidates(self, tx_range: float) -> Callable[[int, float],
-                                                               tuple[int, ...]]:
-        """Return ``candidates(node, time)``: the other nodes, ascending,
-        that may be within ``tx_range`` of ``node`` at ``time >= 0``.
+    def receiver_candidates(self, tx_range: float) -> Callable[[int, float], Candidates]:
+        """Return ``candidates(node, time)``: for ``time >= 0``, the entry
+        ``(ids, near, sure)`` of the other nodes that may be within
+        ``tx_range`` of ``node`` at ``time``.
+
+        ``ids`` lists those candidates in ascending order and ``near`` is
+        the same set as a bit mask (bit n for node n, so node ids are small
+        integers >= 0, as a valid scenario's 0..n-1 are); ``sure`` is the
+        mask of the candidates that are certainly in range.
 
         Time is cut into slots of ``CANDIDATE_SLOT`` seconds; the last slot
-        also covers every later time, after which nothing moves.  Node j is
-        a candidate of node i in a slot when their distance at the slot
-        start is at most ``tx_range + (v_i + v_j) * CANDIDATE_SLOT +
-        CANDIDATE_MARGIN``, where v is a node's top leg speed.  Neither node
-        moves farther than v * CANDIDATE_SLOT within the slot, so the
-        candidates are a superset of the nodes in range at any time in it.
+        also covers every later time, after which nothing moves.  Within a
+        slot, node i stays within ``reach_i = v_i * CANDIDATE_SLOT`` of where
+        it was at the slot start, v being its top leg speed.  So if d is the
+        distance of nodes i and j at the slot start, the distance between i
+        at any time t1 in the slot and j at any time t2 in it lies within
+        ``d +- (reach_i + reach_j)``, and ``CANDIDATE_MARGIN`` more covers the
+        rounding of positions and distances:
+
+        * j is near i when ``d <= tx_range + reach_i + reach_j +
+          CANDIDATE_MARGIN``; a pair that is not near is out of range at any
+          two times in the slot;
+        * j is sure for i when ``d + reach_i + reach_j <= tx_range -
+          CANDIDATE_MARGIN``; a sure pair is in range at any two times in
+          the slot.
+
+        Only the ring, ``near & ~sure``, needs the exact distance test.
 
         The table depends only on the trace and ``tx_range``, so it is built
-        once, one slot at a time, and cached on the trace.
+        once, one slot at a time, and cached on the trace.  Consecutive
+        slots mostly agree: a node's entry is the previous slot's while both
+        masks are unchanged, and keeps its ids while ``near`` is unchanged.
         """
         cached = self._candidates.get(tx_range)
         if cached is not None:
             return cached
         nodes = self.nodes
-        reach = {n: _top_speed(self.waypoints[n]) * CANDIDATE_SLOT for n in nodes}
-        limit = tx_range + CANDIDATE_MARGIN
+        count = len(nodes)
+        bits = [1 << n for n in nodes]
+        reach = [_top_speed(self.waypoints[n]) * CANDIDATE_SLOT for n in nodes]
+        near_limits = [[tx_range + CANDIDATE_MARGIN + r + q for q in reach] for r in reach]
+        sure_limits = [[tx_range - CANDIDATE_MARGIN - r - q for q in reach] for r in reach]
         end = max(points[-1][0] for points in self.waypoints.values())
         last = max(0, int(end / CANDIDATE_SLOT))
-        table: dict[int, list[tuple[int, ...]]] = {n: [] for n in nodes}
+        # this slot's entries, by node id; an id that is no node keeps the empty one
+        entries: list[Candidates] = [((), 0, 0)] * (nodes[-1] + 1)
+        slots: list[list[Candidates]] = []
         for k in range(last + 1):
-            pos = {n: self.position(n, k * CANDIDATE_SLOT) for n in nodes}
-            near: dict[int, list[int]] = {n: [] for n in nodes}
+            pos = [self.position(n, k * CANDIDATE_SLOT) for n in nodes]
+            near, sure = [0] * count, [0] * count
+            found: list[list[int]] = [[] for _ in nodes]
             for a, i in enumerate(nodes):
-                for j in nodes[a + 1:]:
-                    if math.dist(pos[i], pos[j]) <= limit + reach[i] + reach[j]:
-                        near[i].append(j)
-                        near[j].append(i)
-            for n in nodes:
-                slots, found = table[n], tuple(near[n])
-                # consecutive slots mostly agree: share one tuple between them
-                slots.append(slots[-1] if slots and slots[-1] == found else found)
+                p, bit, near_limit, sure_limit = pos[a], bits[a], near_limits[a], sure_limits[a]
+                near_a, sure_a, found_a = near[a], sure[a], found[a]
+                for b in range(a + 1, count):
+                    distance = math.dist(p, pos[b])
+                    if distance <= near_limit[b]:
+                        near_a |= bits[b]
+                        near[b] |= bit
+                        found_a.append(nodes[b])
+                        found[b].append(i)
+                        if distance <= sure_limit[b]:
+                            sure_a |= bits[b]
+                            sure[b] |= bit
+                ids, near_mask, sure_mask = entries[i]
+                if near_a != near_mask:
+                    entries[i] = (tuple(found_a), near_a, sure_a)
+                elif sure_a != sure_mask:
+                    entries[i] = (ids, near_mask, sure_a)
+            slots.append(entries.copy())
 
-        def candidates(node: int, time: float) -> tuple[int, ...]:
-            return table[node][min(int(time / CANDIDATE_SLOT), last)]
+        def candidates(node: int, time: float) -> Candidates:
+            return slots[min(int(time / CANDIDATE_SLOT), last)][node]
 
         self._candidates[tx_range] = candidates
         return candidates

@@ -1,6 +1,7 @@
 """Event-driven network simulator: delivery, losses, metrics, determinism."""
 
 import bisect
+import collections
 import hashlib
 import io
 import math
@@ -298,6 +299,53 @@ def test_broadcast_receivers_match_a_scan_of_every_node(name):
     # receivers out of range at the start of their slot: the candidate
     # radius must count how far both ends move within a slot
     assert sim.moved_into_range > 0
+
+
+class _VerdictBranches:
+    """Tallies the branches by which the simulator settles each broadcast
+    receiver's verdicts, recomputed from its candidate table and the
+    audit's transmission history: a sure or a ring receiver, and, per
+    receiver and rival, a rival from the same slot whose masks settle the
+    collision, one from the same slot that leaves it to the exact test, or
+    one from another slot."""
+
+    def __init__(self, *args, **kwargs):
+        self.branches = collections.Counter()
+        super().__init__(*args, **kwargs)
+
+    def judge(self, node_id, tx, got):
+        super().judge(node_id, tx, got)
+        if tx.frame.dest is not None:
+            return
+        ids, _, sure = self._candidates(node_id, tx.start)
+        slot = int(tx.start / CANDIDATE_SLOT)
+        rivals = self.overlapping(tx)
+        for other in ids:
+            self.branches["sure receiver" if sure >> other & 1 else "ring receiver"] += 1
+            for rival in rivals:
+                if int(rival.start / CANDIDATE_SLOT) != slot:
+                    self.branches["cross-slot rival"] += 1
+                    continue
+                _, near, settled = self._candidates(rival.transmitter, rival.start)
+                if rival.transmitter == other or (settled | ~near) >> other & 1:
+                    self.branches["same-slot rival mask"] += 1
+                else:
+                    self.branches["same-slot rival ring"] += 1
+
+
+@pytest.mark.parametrize("audit", [_ReceiverAudit, _CollisionAudit])
+def test_masked_verdicts_match_a_full_scan_on_every_branch(audit):
+    # at 20 kbps a HELLO is on the air for tens of milliseconds, so many
+    # broadcasts have rivals, and some rivals began in the slot before
+    base = catalog()["u1-med"]
+    spec = replace(base, radio_mac=replace(base.radio_mac, bandwidth=20e3)).validate()
+    sim = type(audit.__name__, (_VerdictBranches, audit), {})(spec, OlsrConfig(), 1)
+    sim.run()
+    assert set(sim.branches) == {"sure receiver", "ring receiver", "same-slot rival mask",
+                                 "same-slot rival ring", "cross-slot rival"}, sim.branches
+    if audit is _CollisionAudit:
+        assert any(want for _, want in sim.verdicts)
+        assert all(got == want for got, want in sim.verdicts)
 
 
 # ---------------------------------------------------------------------------

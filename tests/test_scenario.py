@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from olsrlab.scenario import (
+    CANDIDATE_SLOT,
     SESSION_PHASE,
     URBAN_SPEED_RANGE,
     CbrSession,
@@ -170,12 +171,58 @@ def test_receiver_candidates_contain_every_node_in_range(paths, tx_range, data):
         assume(tx_range > 0.0)
     candidates = trace.receiver_candidates(tx_range)
     for node, time in queries:
-        near = candidates(node, time)
-        assert list(near) == sorted(near) and node not in near
+        ids, _, _ = candidates(node, time)
+        assert list(ids) == sorted(ids) and node not in ids
         for other in trace.waypoints:
             assert trace.position(other, time) == where(other, time)
             if other != node and math.dist(where(node, time), where(other, time)) <= tx_range:
-                assert other in near, (node, other, time)
+                assert other in ids, (node, other, time)
+
+
+@given(paths=st.lists(node_waypoints(), min_size=2, max_size=8),
+       tx_range=st.one_of(st.floats(1.0, 600.0), st.none()), data=st.data())
+def test_receiver_candidate_masks_hold_for_any_two_times_in_a_slot(paths, tx_range, data):
+    # a collision is judged from the receiver's position when the frame
+    # began and the rival's position when the rival began: two times in one
+    # slot.  A sure pair must be in range and a pair outside near out of
+    # range for every such pair of times, the last slot's included, which
+    # runs on past the trace end
+    trace = MobilityTrace(dict(enumerate(paths)))
+    end = max(points[-1][0] for points in paths)
+    last = int(end / CANDIDATE_SLOT)
+    slot = data.draw(st.one_of(st.just(last), st.integers(0, last)))
+    start = slot * CANDIDATE_SLOT
+    if slot < last:
+        times = st.floats(start, start + CANDIDATE_SLOT, exclude_max=True)
+    else:
+        times = st.floats(start, end + 20.0)
+    pairs = data.draw(st.lists(st.tuples(times, times), min_size=1, max_size=5))
+
+    def where(node, time):
+        return position_at(trace.waypoints[node], time)
+
+    if tx_range is None:
+        # put one pair exactly at the range
+        t1, t2 = pairs[0]
+        tx_range = math.dist(where(0, t1), where(1, t2))
+        assume(tx_range > 0.0)
+    candidates = trace.receiver_candidates(tx_range)
+    for t1, t2 in pairs:
+        for node in trace.waypoints:
+            entry = candidates(node, t1)
+            assert candidates(node, t2) is entry
+            ids, near, sure = entry
+            assert list(ids) == sorted(ids) and node not in ids
+            assert near == sum(1 << other for other in ids)
+            assert sure & ~near == 0
+            for other in trace.waypoints:
+                if other == node:
+                    continue
+                distance = math.dist(where(node, t1), where(other, t2))
+                if sure >> other & 1:
+                    assert distance <= tx_range, (node, other, t1, t2)
+                if not near >> other & 1:
+                    assert distance > tx_range, (node, other, t1, t2)
 
 
 # ---------------------------------------------------------------------------
