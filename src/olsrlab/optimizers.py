@@ -10,6 +10,10 @@ partial generation is evaluated then truncated mid-stream.
 Each run is reproducible from its seed and yields a :class:`RunRecord`
 holding the full evaluation trajectory, the best candidate, and wall
 clock timings.
+
+numpy is imported inside the functions that use it, so importing this
+module, or reading and writing its records, does not load it; only a
+search does.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
-
-import numpy as np
 
 from .fitness import Evaluation
 from .netsim import QosMetrics
@@ -216,6 +218,8 @@ def pso_step(positions, velocities, personal_best, global_best, lo, hi, rng,
     Velocities are clamped to +-(hi-lo) per dimension; positions are
     clamped into the box and the velocity of a clamped component is zeroed.
     """
+    import numpy as np
+
     span = hi - lo
     shape = positions.shape
     r1 = rng.random(shape)
@@ -234,6 +238,8 @@ def pso_step(positions, velocities, personal_best, global_best, lo, hi, rng,
 def de_step(population, costs, evaluate, lo, hi, rng,
             crossover_rate: float = CROSSOVER_RATE, diff_weight: float = DIFF_WEIGHT):
     """One rand/1/bin generation with greedy (<=) selection, in place."""
+    import numpy as np
+
     size, dims = population.shape
     for i in range(size):
         others = [j for j in range(size) if j != i]
@@ -254,6 +260,8 @@ def ga_step(population, costs, evaluate, lo, hi, rng,
     """One generational replacement: tournaments, blend crossover, reset
     mutation, elitism of one.  The elite is re-evaluated with the rest so
     every generation costs exactly ``population`` evaluations."""
+    import numpy as np
+
     size, dims = population.shape
 
     def tournament():
@@ -283,6 +291,8 @@ def ga_step(population, costs, evaluate, lo, hi, rng,
 
 def _neighbor(current, lo, hi, rng, sigma: float):
     """A Gaussian step of ``sigma`` times the box width, clamped into the box."""
+    import numpy as np
+
     return np.clip(current + rng.normal(0.0, sigma * (hi - lo)), lo, hi)
 
 
@@ -303,19 +313,23 @@ def sa_step(current, current_cost, temperature, step_index, evaluate, lo, hi, rn
 
 # -- drivers ----------------------------------------------------------------
 
-def _sample(rng, *shape):
+# Each driver takes the box as arrays ``lo`` and ``hi``, which search builds.
+
+def _sample(rng, lo, hi, *shape):
     """Uniform points of the tuning box; every driver draws its start here."""
-    return rng.uniform(LOWER, UPPER, size=(*shape, LOWER.size))
+    return rng.uniform(lo, hi, size=(*shape, lo.size))
 
 
-def _drive_rand(rec, cfg, rng):
+def _drive_rand(rec, cfg, rng, lo, hi):
     for _ in range(cfg.budget):
-        rec(_sample(rng))
+        rec(_sample(rng, lo, hi))
 
 
-def _drive_pso(rec, cfg, rng):
+def _drive_pso(rec, cfg, rng, lo, hi):
+    import numpy as np
+
     pop = cfg.population
-    positions = _sample(rng, pop)
+    positions = _sample(rng, lo, hi, pop)
     velocities = np.zeros_like(positions)
     costs = np.array([rec(x) for x in positions])
     pbest = positions.copy()
@@ -323,7 +337,7 @@ def _drive_pso(rec, cfg, rng):
     g = int(np.argmin(pbest_costs))
     while True:
         positions, velocities = pso_step(positions, velocities, pbest, pbest[g],
-                                         LOWER, UPPER, rng)
+                                         lo, hi, rng)
         for i in range(pop):
             cost = rec(positions[i])
             if cost <= pbest_costs[i]:
@@ -333,23 +347,25 @@ def _drive_pso(rec, cfg, rng):
                 g = i
 
 
-def _drive_generations(step, rec, cfg, rng):
+def _drive_generations(step, rec, cfg, rng, lo, hi):
     """DE and GA: evaluate a uniform population, then apply ``step`` per generation."""
-    population = _sample(rng, cfg.population)
+    import numpy as np
+
+    population = _sample(rng, lo, hi, cfg.population)
     costs = np.array([rec(x) for x in population])
     while True:
-        population, costs = step(population, costs, rec, LOWER, UPPER, rng)
+        population, costs = step(population, costs, rec, lo, hi, rng)
 
 
-def _drive_sa(rec, cfg, rng):
-    current = _sample(rng)
+def _drive_sa(rec, cfg, rng, lo, hi):
+    current = _sample(rng, lo, hi)
     current_cost = rec(current)
     # temperature calibration: probe the neighborhood of the start point and
     # pick T0 so a typical uphill move is accepted with probability ~0.8
     uphill = []
     best = (current_cost, current)
     for _ in range(CALIBRATION_PROBES):
-        probe = _neighbor(current, LOWER, UPPER, rng, NEIGHBORHOOD_SIGMA)
+        probe = _neighbor(current, lo, hi, rng, NEIGHBORHOOD_SIGMA)
         cost = rec(probe)
         if cost > current_cost:
             uphill.append(cost - current_cost)
@@ -361,7 +377,7 @@ def _drive_sa(rec, cfg, rng):
     step = 0
     while True:
         current, current_cost, temperature = sa_step(
-            current, current_cost, temperature, step, rec, LOWER, UPPER, rng)
+            current, current_cost, temperature, step, rec, lo, hi, rng)
         step += 1
 
 
@@ -391,11 +407,14 @@ def search(opt_config: OptimizerConfig, objective) -> RunRecord:
     algorithms on one seed, which this suits; the runs of different
     algorithms are not independent.
     """
+    import numpy as np
+
     opt_config.validate()
     rng = np.random.default_rng(opt_config.seed)
+    lo, hi = np.array(LOWER), np.array(UPPER)
     rec = _Recorder(objective, opt_config.budget)
     try:
-        _DRIVERS[opt_config.algorithm](rec, opt_config, rng)
+        _DRIVERS[opt_config.algorithm](rec, opt_config, rng, lo, hi)
     except _BudgetExhausted:
         pass
     total = time.perf_counter() - rec.started

@@ -1,9 +1,11 @@
 """The tuning box over the eight tunable protocol parameters.
 
 Optimizers work on raw real vectors in ``NAMES`` order and search the box
-``[LOWER, UPPER]``; :func:`decode_params` clamps each component into it and
-rounds the willingness dimension to the nearest integer, so any finite
-vector decodes to a valid :class:`~olsrlab.olsr.OlsrConfig`.
+``[LOWER, UPPER]``, two tuples of floats; :func:`decode_params` clamps each
+component into it and rounds the willingness dimension to the nearest
+integer, so any finite vector decodes to a valid
+:class:`~olsrlab.olsr.OlsrConfig`.  Decoding is plain Python: a simulation,
+a comparison or a report never imports numpy, which only a search loads.
 
 The box is narrower than what :meth:`OlsrConfig.validate` accepts, so
 configs outside it (such as the sub-second ``gomez-1``) still simulate.
@@ -13,8 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import fields
-
-import numpy as np
 
 from .olsr import WILL_ALWAYS, WILL_NEVER, OlsrConfig
 
@@ -31,9 +31,7 @@ def _bounds(name: str) -> tuple[float, float]:
     return INTERVAL_RANGE if name.endswith("_interval") else HOLD_RANGE
 
 
-LOWER, UPPER = (np.array(side) for side in zip(*map(_bounds, NAMES)))
-LOWER.setflags(write=False)
-UPPER.setflags(write=False)
+LOWER, UPPER = zip(*map(_bounds, NAMES))
 
 
 def decode_params(raw) -> OlsrConfig:
@@ -44,8 +42,9 @@ def decode_params(raw) -> OlsrConfig:
     for name, v in zip(NAMES, values):
         if not math.isfinite(float(v)):
             raise ValueError(f"{name} is not finite: {v!r}")
-    # tolist() yields Python floats, which keep a record's repr unchanged
-    clamped = dict(zip(NAMES, np.clip(np.array(values, dtype=float), LOWER, UPPER).tolist()))
+    # Python floats keep a record's repr unchanged
+    clamped = {name: min(max(float(v), lo), hi)
+               for name, v, lo, hi in zip(NAMES, values, LOWER, UPPER)}
     # round half up; a value in [0, 7] stays in [0, 7]
     clamped["willingness"] = math.floor(clamped["willingness"] + 0.5)
     return OlsrConfig(**clamped).validate()

@@ -264,6 +264,25 @@ def reference_kruskal(groups):
 
 
 # ---------------------------------------------------------------------------
+# tuning box: the clamp-and-round decode as numpy computed it
+# ---------------------------------------------------------------------------
+
+BOX_LOWER = np.array([1.0, 1.0, 1.0, 0.0, 3.0, 3.0, 3.0, 3.0])
+BOX_UPPER = np.array([30.0, 30.0, 30.0, 7.0, 100.0, 100.0, 100.0, 100.0])
+
+
+# The package's decode before it dropped numpy for plain floats; kept
+# unchanged as the reference the plain clamp must equal on finite input.
+def reference_decode_params(raw) -> OlsrConfig:
+    values = list(raw)
+    names = [f for f in OlsrConfig.__dataclass_fields__]
+    clamped = dict(zip(names, np.clip(np.array(values, dtype=float), BOX_LOWER,
+                                      BOX_UPPER).tolist()))
+    clamped["willingness"] = math.floor(clamped["willingness"] + 0.5)
+    return OlsrConfig(**clamped).validate()
+
+
+# ---------------------------------------------------------------------------
 # benchmark functions the optimizer tests search on
 # ---------------------------------------------------------------------------
 

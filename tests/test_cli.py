@@ -774,3 +774,46 @@ def test_simulate_optimize_and_report_never_import_scipy(tmp_path):
     assert summary["friedman"] is not None
     assert summary["kruskal_wallis"] is not None
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+SIMULATE_WITHOUT_NUMPY = """
+import sys
+import olsrlab
+from olsrlab import cli, fitness, netsim, olsr, optimizers, scenario
+from olsrlab.cli import main
+out = sys.argv[1]
+records = out + "/camp/records"
+assert main(["simulate", "--scenario", "static-mesh-smoke",
+             "--config", records + "/SA-seed000001.run"]) == 0
+assert main(["compare", "--runs-dir", records, "--scenarios", "static-mesh-smoke",
+             "--seeds", "1", "--outdir", out + "/cmp"]) == 0
+assert main(["report", "--records", records, "--outdir", out + "/rep"]) == 0
+objective = fitness.OlsrObjective(scenario.catalog()["static-mesh-smoke"], seeds=(1,))
+objective([2.0, 2.0, 5.0, 3.0, 6.0, 15.0, 15.0, 30.0])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+assert "numpy" not in sys.modules, loaded
+assert main(["optimize", "--scenario", "static-mesh-smoke", "--algorithms", "PSO",
+             "--runs", "1", "--budget", "4", "--population", "2",
+             "--outdir", out + "/camp2"]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_simulate_compare_report_and_evaluate_never_import_numpy(tmp_path):
+    # numpy serves the search alone: a campaign's records are replayed,
+    # compared and reported, and a candidate scored, without loading it
+    src = os.path.dirname(os.path.dirname(olsrlab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    optimize = ("from olsrlab.cli import main; import sys; sys.exit(main(["
+                "'optimize', '--scenario', 'static-mesh-smoke', '--algorithms', 'SA,RAND',"
+                f"'--runs', '1', '--budget', '4', '--outdir', {str(tmp_path / 'camp')!r}]))")
+    proc = subprocess.run([sys.executable, "-c", optimize], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, "-c", SIMULATE_WITHOUT_NUMPY, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    cells = json.loads(read(tmp_path / "cmp" / "compare.json"))["cells"]
+    assert {c["config"] for c in cells} == {"best-sa", "best-rand"}
+    assert (tmp_path / "camp2" / "records" / "PSO-seed000001.run").is_file()

@@ -3,12 +3,14 @@
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olsrlab.olsr import OlsrConfig
 from olsrlab.params import LOWER, NAMES, UPPER, decode_params
+from oracles import reference_decode_params
 
 
 def test_tuning_box_names_and_bounds():
@@ -17,10 +19,11 @@ def test_tuning_box_names_and_bounds():
         "neighb_hold_time", "top_hold_time", "mid_hold_time", "dup_hold_time",
     )
     assert NAMES == tuple(f.name for f in fields(OlsrConfig))
-    assert LOWER.tolist() == [1.0, 1.0, 1.0, 0.0, 3.0, 3.0, 3.0, 3.0]
-    assert UPPER.tolist() == [30.0, 30.0, 30.0, 7.0, 100.0, 100.0, 100.0, 100.0]
+    assert list(LOWER) == [1.0, 1.0, 1.0, 0.0, 3.0, 3.0, 3.0, 3.0]
+    assert list(UPPER) == [30.0, 30.0, 30.0, 7.0, 100.0, 100.0, 100.0, 100.0]
     for bound in (LOWER, UPPER):
-        with pytest.raises(ValueError, match="read-only"):
+        assert all(type(v) is float for v in bound)
+        with pytest.raises(TypeError):
             bound[0] = 0.5
 
 
@@ -76,3 +79,26 @@ def test_every_finite_vector_decodes_valid(raw):
     for v, lo, hi in zip(cfg.as_vector(), LOWER, UPPER, strict=True):
         assert lo <= v <= hi
 
+
+
+# a finite component: anywhere in or far outside the box, the extremes of
+# the float range, a signed zero, or an int
+_component = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-200.0, max_value=200.0),
+    st.sampled_from([1e308, -1e308, -0.0, 0.0, 0.5, 3.5, 6.5, 7.0]),
+    st.integers(min_value=-10**6, max_value=10**6),
+)
+
+
+@given(st.lists(_component, min_size=8, max_size=8), st.booleans())
+def test_plain_clamp_matches_the_numpy_decode(raw, as_array):
+    # the optimizers pass rows of a float64 array; records and tests pass lists
+    if as_array:
+        raw = np.array(raw, dtype=float)
+    got, want = decode_params(raw), reference_decode_params(raw)
+    assert got == want
+    for name in NAMES:
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b)
+        assert math.copysign(1.0, a) == math.copysign(1.0, b)
