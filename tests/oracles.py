@@ -275,7 +275,7 @@ BOX_UPPER = np.array([30.0, 30.0, 30.0, 7.0, 100.0, 100.0, 100.0, 100.0])
 # unchanged as the reference the plain clamp must equal on finite input.
 def reference_decode_params(raw) -> OlsrConfig:
     values = list(raw)
-    names = [f for f in OlsrConfig.__dataclass_fields__]
+    names = list(OlsrConfig.__dataclass_fields__)
     clamped = dict(zip(names, np.clip(np.array(values, dtype=float), BOX_LOWER,
                                       BOX_UPPER).tolist()))
     clamped["willingness"] = math.floor(clamped["willingness"] + 0.5)

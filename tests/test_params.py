@@ -80,7 +80,6 @@ def test_every_finite_vector_decodes_valid(raw):
         assert lo <= v <= hi
 
 
-
 # a finite component: anywhere in or far outside the box, the extremes of
 # the float range, a signed zero, or an int
 _component = st.one_of(
