@@ -90,12 +90,19 @@ def _resolve_config(name: str) -> tuple[str, OlsrConfig]:
 def cmd_simulate(args) -> int:
     spec = _resolve_scenario(args.scenario)
     label, config = _resolve_config(args.config)
-    log_fh = open(args.event_log, "w") if args.event_log else None
-    try:
-        metrics = run_simulation(spec, config, args.seed, event_log=log_fh)
-    finally:
-        if log_fh:
-            log_fh.close()
+    if args.event_log:
+        # written aside and moved into place only after a run that succeeds,
+        # so a refused or failed run leaves no log behind
+        tmp = args.event_log + ".tmp"
+        try:
+            with open(tmp, "w") as log_fh:
+                metrics = run_simulation(spec, config, args.seed, event_log=log_fh)
+            os.replace(tmp, args.event_log)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    else:
+        metrics = run_simulation(spec, config, args.seed)
     cost = comm_cost(metrics)
     report = {
         "format": SIM_REPORT_FORMAT,

@@ -214,14 +214,14 @@ class NodeState:
     :meth:`purge_expired`) change it.  Each event costs work in proportion
     to what it changed:
 
-    * Two watermarks guard the expiry sweep.  ``_table_expiry`` is a lower
-      bound on every expiry in ``links``, ``two_hop``, ``topology`` and
-      ``mpr_selectors``; every write of one of those expiries lowers it,
-      and a sweep of those tables sets it to the earliest expiry left, in
-      the same pass that finds the dead entries.  ``_duplicate_front`` is
-      the expiry of the first entry of ``duplicates`` (inf while there is
-      none).  :meth:`purge_expired` returns at once while ``now`` has not
-      passed the lesser of the two (``_next_expiry``), sweeps the tables
+    * Two watermarks guard the expiry sweep, each for its own tables.
+      ``_table_expiry`` is a lower bound on every expiry in ``links``,
+      ``two_hop``, ``topology`` and ``mpr_selectors``; every write of one
+      of those expiries lowers it, and a sweep of those tables sets it to
+      the earliest expiry left, in the same pass that finds the dead
+      entries.  ``_duplicate_front`` is the expiry of the first entry of
+      ``duplicates`` (inf while there is none).  :meth:`purge_expired`
+      returns at once while ``now`` has passed neither, sweeps the tables
       only once ``now`` passes ``_table_expiry``, and drops duplicates from
       the front only once ``now`` passes ``_duplicate_front``.
     * ``two_hop`` and ``topology`` hold one bucket per advertising node:
@@ -235,13 +235,6 @@ class NodeState:
       its expiry.  Every entry is inserted ``dup_hold_time`` after a
       nondecreasing ``now``, so the dict is in expiry order and its front
       is its earliest expiry.
-    * ``_two_hop_vias`` is the transpose of ``two_hop``: it maps every
-      target some bucket lists to the mask of the neighbors whose buckets
-      list it, and it holds no zero mask.  It changes only where a
-      bucket's membership does: a HELLO that changes a bucket flips the
-      sender's bit for each target in the XOR of the old and new masks.
-      :meth:`strict_two_hop` reads the index, at O(links + two-hop
-      targets), not O(sum of bucket sizes).
     * The MPR selection reads exactly the ``symmetric`` mask, each
       symmetric neighbor's willingness and the strict two-hop set: the
       targets outside ``symmetric`` that a symmetric neighbor's bucket
@@ -283,9 +276,6 @@ class NodeState:
         self.symmetric = 0
         # advertising neighbor -> (targets mask, expiry); no mask is zero
         self.two_hop: dict[int, tuple[int, float]] = {}
-        # the transpose of two_hop: target -> mask of the neighbors whose
-        # bucket lists it; no mask is zero
-        self._two_hop_vias: dict[int, int] = {}
         # the mask of the selected relays; None until made, and again once
         # one of its inputs changes (see the class docstring)
         self._selection: int | None = None
@@ -303,8 +293,6 @@ class NodeState:
         self._table_expiry = math.inf
         # the expiry of the first duplicate, inf while there is none
         self._duplicate_front = math.inf
-        # the lesser of the two watermarks above
-        self._next_expiry = math.inf
         # destination -> (next hop, hop count), valid unless _routing_stale
         self._routing: dict[int, tuple[int, int]] = {}
         self._routing_stale = False
@@ -331,14 +319,24 @@ class NodeState:
     def strict_two_hop(self) -> dict[int, int]:
         """Strict two-hop target -> bit mask of the symmetric neighbors that reach it.
 
-        A strict target is no symmetric neighbor and not ourselves.  Reads
-        the transposed index, so it costs O(links + two-hop targets).
+        A strict target is no symmetric neighbor and not ourselves (no
+        bucket lists us).  Walks the buckets of the symmetric neighbors, so
+        it costs O(two-hop buckets + strict entries in the symmetric
+        neighbors' buckets).  The map is built in via order, not target
+        order; :func:`select_mprs` reads it in any order.
         """
         symmetric = self.symmetric
-        cover = {}
-        for target, vias in self._two_hop_vias.items():
-            if vias & symmetric and not symmetric >> target & 1:
-                cover[target] = vias & symmetric
+        cover: dict[int, int] = {}
+        for via, (mask, _) in self.two_hop.items():
+            if not symmetric >> via & 1:
+                continue
+            bit = 1 << via
+            targets = mask & ~symmetric
+            while targets:  # a bit loop, not _ids: this runs per selection
+                low = targets & -targets
+                target = low.bit_length() - 1
+                cover[target] = cover.get(target, 0) | bit
+                targets ^= low
         return cover
 
     @property
@@ -397,8 +395,6 @@ class NodeState:
             mask = msg.symmetric_listed & ~(1 << self_id)
             bucket = self.two_hop.get(sender)
             flipped = mask ^ bucket[0] if bucket is not None else mask
-            if flipped:
-                self._reindex(sender, flipped)
             if mask:
                 self.two_hop[sender] = (mask, expiry)
             elif bucket is not None:
@@ -408,7 +404,7 @@ class NodeState:
                 self.mpr_selectors[sender] = expiry
             earliest = link_expiry if link_expiry < expiry else expiry
             if earliest < self._table_expiry:
-                self._lower_table_expiry(earliest)
+                self._table_expiry = earliest
 
             if symmetric != old_symmetric:
                 self.symmetric = symmetric
@@ -428,8 +424,6 @@ class NodeState:
         if not duplicates:
             # later entries expire no earlier, so only the first sets the front
             self._duplicate_front = expiry
-            if expiry < self._next_expiry:
-                self._next_expiry = expiry
         duplicates[key] = expiry
         return True
 
@@ -484,7 +478,7 @@ class NodeState:
             expiry = now + msg.validity_time
             self.topology[origin] = (dests, expiry)
             if expiry < self._table_expiry:
-                self._lower_table_expiry(expiry)
+                self._table_expiry = expiry
         changed = dests ^ old_dests
         if not changed:
             return False
@@ -577,13 +571,14 @@ class NodeState:
 
         Losing a link cascades: the two-hop bucket advertised by that
         neighbor and its MPR-selector registration go with it.  Returns
-        True when anything was removed.  Costs O(1) while ``now`` has not
-        passed either watermark (see the class docstring), O(duplicates
+        True when anything was removed.  Returns after two comparisons
+        while ``now`` has passed neither the table watermark nor the
+        duplicate front (see the class docstring).  Costs O(duplicates
         removed) once it passes only the duplicate front, and one pass over
         links, buckets and selectors once it passes the table watermark.
         ``now`` must not decrease between calls.
         """
-        if now <= self._next_expiry:
+        if now <= self._table_expiry and now <= self._duplicate_front:
             return False
         removed = False
         if now > self._duplicate_front:
@@ -601,9 +596,6 @@ class NodeState:
             self._duplicate_front = front
         if now > self._table_expiry and self._sweep_tables(now):
             removed = True
-        table_expiry = self._table_expiry
-        front = self._duplicate_front
-        self._next_expiry = table_expiry if table_expiry < front else front
         return removed
 
     def _sweep_tables(self, now: float) -> bool:
@@ -617,7 +609,7 @@ class NodeState:
             del links[nbr]
             del self.neighbor_willingness[nbr]
             lost |= self.symmetric & 1 << nbr
-            self._reindex(nbr, self.two_hop.pop(nbr, (0, None))[0])
+            self.two_hop.pop(nbr, None)
             self.mpr_selectors.pop(nbr, None)
         if lost:
             self.symmetric ^= lost
@@ -627,7 +619,7 @@ class NodeState:
         # below see only what survives the cascade
         dead_two_hop, two_hop_earliest = _expired_buckets(self.two_hop, now)
         for via in dead_two_hop:
-            self._reindex(via, self.two_hop.pop(via)[0])
+            del self.two_hop[via]
             self._selection = None
         dead_topology, topology_earliest = _expired_buckets(self.topology, now)
         for last in dead_topology:
@@ -642,29 +634,6 @@ class NodeState:
         self._table_expiry = min(earliest, two_hop_earliest, topology_earliest,
                                  selectors_earliest)
         return bool(dead_links or dead_two_hop or dead_topology or dead_selectors)
-
-    def _lower_table_expiry(self, expiry: float) -> None:
-        """Lower the table watermark, and the shared one with it, to ``expiry``."""
-        self._table_expiry = expiry
-        if expiry < self._next_expiry:
-            self._next_expiry = expiry
-
-    # -- derived tables ---------------------------------------------------
-
-    def _reindex(self, via: int, flipped: int) -> None:
-        """Flip ``via``'s bit in the transposed index for each target in the
-        ``flipped`` mask: the targets its bucket gained or lost."""
-        bit = 1 << via
-        index = self._two_hop_vias
-        while flipped:  # a bit loop, not _ids: this runs for every HELLO
-            low = flipped & -flipped
-            target = low.bit_length() - 1
-            vias = index.get(target, 0) ^ bit
-            if vias:
-                index[target] = vias
-            else:
-                del index[target]
-            flipped ^= low
 
 
 def compute_routing_table(state: NodeState) -> dict[int, tuple[int, int]]:

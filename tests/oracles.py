@@ -75,8 +75,8 @@ def cover_map(two_hop):
 
 
 # The greedy relay heuristic as the package ran it on (via, target) pairs
-# before selection moved to a transposed two-hop index; kept unchanged as
-# the reference the new selection must equal.
+# before selection moved to cover maps (target -> mask of its vias); kept
+# unchanged as the reference the new selection must equal.
 def reference_select_mprs(symmetric_neighbors, two_hop) -> set:
     """Pick a relay set covering every strict two-hop neighbor; return its ids.
 

@@ -6,7 +6,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -72,6 +72,19 @@ def test_simulate_writes_an_event_log(tmp_path):
     assert rc == 0
     lines = read(log).splitlines()
     assert lines and lines[-1].endswith("sim-end ")
+    assert not os.path.exists(str(log) + ".tmp")
+
+
+def test_simulate_that_fails_leaves_no_event_log(tmp_path, capsys):
+    path = tmp_path / "silent.json"
+    save_scenario(replace(catalog()["static-mesh-smoke"], sessions=[]), path)
+    log, out = tmp_path / "events.log", tmp_path / "report.json"
+    rc = main(["simulate", "--scenario", str(path), "--event-log", str(log),
+               "--output", str(out)])
+    assert rc == 2
+    assert "no CBR sessions" in capsys.readouterr().err
+    assert not log.exists() and not os.path.exists(str(log) + ".tmp")
+    assert not out.exists()
 
 
 def test_simulate_unknown_scenario_lists_the_bundled_names(capsys):

@@ -658,6 +658,34 @@ def test_sampled_tuning_box_configs_reproduce_their_pinned_metrics(index, mac_dr
     assert sim._insertions == events
 
 
+# u2-med at seed 0 under draws 3-5 of the same box stream: 40 nodes, so
+# routes of several hops and two-hop neighborhoods that relay selection
+# and the expiry sweep both work on.  Draw 3 has willingness 7, draws 4
+# and 5 willingness 2.  Columns as above.
+@pytest.mark.parametrize("index,mac_drops,events,expected", [
+    (3, 485, 45682, QosMetrics(
+        pdr=0.7008333333333333, nrl=3.7550535077288942, e2ed=0.0011506421570856241,
+        rpl=1.004756242568371, data_sent=2400, data_delivered=1682,
+        data_dropped=718, data_in_flight=0, routing_tx=6316)),
+    (4, 485, 77949, QosMetrics(
+        pdr=0.7979166666666667, nrl=1.2046997389033942, e2ed=0.0011930220465808739,
+        rpl=1.052219321148825, data_sent=2400, data_delivered=1915,
+        data_dropped=485, data_in_flight=0, routing_tx=2307)),
+    (5, 485, 45268, QosMetrics(
+        pdr=0.74375, nrl=0.592156862745098, e2ed=0.0012234932298479915,
+        rpl=1.0795518207282913, data_sent=2400, data_delivered=1785,
+        data_dropped=615, data_in_flight=0, routing_tx=1057)),
+])
+def test_multi_hop_box_samples_reproduce_their_pinned_metrics(index, mac_drops, events,
+                                                             expected):
+    rng = np.random.default_rng(0)
+    draws = [rng.uniform(LOWER, UPPER) for _ in range(6)]
+    sim = Simulator(catalog()["u2-med"], decode_params(draws[index]), 0)
+    assert sim.run() == expected
+    assert sim.counters.dropped_mac == mac_drops
+    assert sim._insertions == events
+
+
 # ---------------------------------------------------------------------------
 # protocol state is purged where it is read
 # ---------------------------------------------------------------------------
