@@ -26,34 +26,24 @@ for protocol tuning:
   verdicts and carrier sense always use the exact test;
 * airtime is ``bytes * 8 / bandwidth``; one FIFO transmit queue per node.
 
-Events are processed in nondecreasing time with ties broken by
-(time, kind precedence, subject id, insertion order), so a run is a pure
-function of (scenario, config, seed).  ``Simulator._insertions`` counts
-the events scheduled.  CBR packets are scheduled one at a time per
-session: sending one schedules the session's next, so the event heap
-never holds more than one future packet per session.  Ties between
-packets of one source break by session index, the order in which
-scheduling every packet up front would have inserted them.
+Every event is one heap entry, handled in ascending order of its key
+(time, kind precedence, subject id, insertion index), so a run is a pure
+function of (scenario, config, seed).  The key is unique, and nothing
+else breaks a tie.  ``Simulator._insertions`` counts the events
+scheduled.  CBR packets are scheduled one at a time per session: sending
+one schedules the session's next, so the event heap never holds more
+than one future packet per session.
 
-A frame's arrivals are one heap entry per ended transmission: its
-reception set, the receivers that got it in ascending id order (one for
-a unicast frame), sharing one ``(payload, sender)``.  The set takes one
-insertion index per receiver, ``first ... first+k-1``, and
-``_insertions`` counts each receiver, so the order and the count are
-those of one event per receiver.  Arrivals have the lowest kind
-precedence and handling one never schedules another, so only arrivals of
-another transmission at the bit-identical time can fall between a set's
-receivers (two frames that ended together, or whose end plus the
-processing delay rounds to one time).  Such tied sets are merged and
-handled by (receiver id, insertion index).
-
-The run loop hands a reception set to one handler,
-``Simulator._on_frame_arrival(receivers, payload)``.  It unpacks the
-shared ``(payload, sender)`` and tests the payload's type once, then, for
-each receiver in ascending order, purges the receiver's state and applies
-the control message (forwarding a copy when the protocol says so) or
-routes the data packet.  Merged tied sets are handed to it one arrival at
-a time, in the merged order.
+A frame's arrivals are one entry per ended transmission: its reception
+set, the receivers that got it in ascending id order (one for a unicast
+frame), sharing one ``(payload, sender)``.  Its subject is its lowest
+receiver, and it takes one insertion index per receiver, so
+``_insertions`` counts each receiver.  The run loop hands the set to
+``Simulator._on_frame_arrival(receivers, payload)``, which tests the
+payload's type once, then, for each receiver in ascending order, purges
+the receiver's state and applies the control message (forwarding a copy
+when the protocol says so) or routes the data packet.  Sets due at one
+time are each handled whole, in the order of their keys.
 
 A node's protocol state is purged of expired tuples at the start of every
 handler that reads it (periodic emission, CBR send, frame arrival), and
@@ -218,19 +208,6 @@ class Simulator:
                                     (receivers, payload)))
         self._insertions = first + len(receivers)
 
-    def _tied_arrivals(self, time: float, first: int, receivers: list[int], payload):
-        """Pop every other reception set due at ``time`` and return the
-        arrivals of all of them, with the popped set's, as ``(receiver,
-        insertion index, payload)`` in the order one event per receiver
-        would run: by receiver id, then insertion index."""
-        heap = self._heap
-        arrivals = [(r, first + i, payload) for i, r in enumerate(receivers)]
-        while heap and heap[0][0] == time and heap[0][1] == FRAME_ARRIVAL:
-            _, _, _, first, (receivers, payload) = heapq.heappop(heap)
-            arrivals.extend((r, first + i, payload) for i, r in enumerate(receivers))
-        arrivals.sort(key=lambda arrival: arrival[:2])
-        return arrivals
-
     def _log(self, subject: int, kind: str, detail: str) -> None:
         # hot call sites test ``_event_log`` themselves, so that a run
         # without a log formats no detail string
@@ -238,16 +215,10 @@ class Simulator:
             self._event_log.write(f"{self.now:.6f} {subject} {kind} {detail}\n")
 
     def _schedule_cbr(self, si: int, k: int, session) -> None:
-        """Schedule packet ``k`` of session ``si``, if its window has it.
-
-        The session index stands in for the insertion order, so that ties
-        between one source's packets break as they would if every packet
-        had been scheduled before the run.
-        """
+        """Schedule packet ``k`` of session ``si``, if its window has it."""
         t = session.send_time(k)
         if t is not None:
-            heapq.heappush(self._heap, (t, CBR_SEND, session.source, si, (si, k, session)))
-            self._insertions += 1
+            self._schedule(t, CBR_SEND, session.source, (si, k, session))
 
     # -- run loop ---------------------------------------------------------
 
@@ -267,14 +238,10 @@ class Simulator:
         arrival, deliver, nodes = self._on_frame_arrival, self.deliver_frame, self.nodes
         heap, pop = self._heap, heapq.heappop
         while heap:
-            time, kind, subject, first, payload = pop(heap)
+            time, kind, subject, _, payload = pop(heap)
             self.now = time
             if kind == FRAME_ARRIVAL:
-                if heap and heap[0][0] == time and heap[0][1] == FRAME_ARRIVAL:
-                    for receiver, _, shared in self._tied_arrivals(time, first, *payload):
-                        arrival((receiver,), shared)
-                else:
-                    arrival(*payload)
+                arrival(*payload)
             elif kind == FRAME_SEND:
                 deliver(nodes[subject], time)
             elif kind == SIM_END:

@@ -296,11 +296,10 @@ class NodeState:
         # destination -> (next hop, hop count), valid unless _routing_stale
         self._routing: dict[int, tuple[int, int]] = {}
         self._routing_stale = False
-        self._seq = {HELLO: 0, TC: 0}
-        self._next_emit = {
-            HELLO: now + config.hello_interval - _jitter(rng, config.hello_interval),
-            TC: now + config.tc_interval - _jitter(rng, config.tc_interval),
-        }
+        # the last sequence number sent, and the next emission time, per kind
+        self._hello_seq = self._tc_seq = 0
+        self._next_hello = now + config.hello_interval - _jitter(rng, config.hello_interval)
+        self._next_tc = now + config.tc_interval - _jitter(rng, config.tc_interval)
 
     # -- views ---------------------------------------------------------
 
@@ -522,30 +521,24 @@ class NodeState:
         """
         messages = []
         cfg = self.config
-        if self._due(HELLO, now):
-            self._next_emit[HELLO] = now + cfg.hello_interval - _jitter(rng, cfg.hello_interval)
+        if self._next_hello <= now + 1e-12:
+            self._next_hello = now + cfg.hello_interval - _jitter(rng, cfg.hello_interval)
             messages.append(self._make_hello())
-        if self._due(TC, now):
-            self._next_emit[TC] = now + cfg.tc_interval - _jitter(rng, cfg.tc_interval)
+        if self._next_tc <= now + 1e-12:
+            self._next_tc = now + cfg.tc_interval - _jitter(rng, cfg.tc_interval)
             if self.mpr_selectors:
                 messages.append(self._make_tc())
         return messages
 
     def next_emission(self) -> float:
-        return min(self._next_emit.values())
-
-    def _due(self, kind: str, now: float) -> bool:
-        return self._next_emit[kind] <= now + 1e-12
-
-    def _bump_seq(self, kind: str) -> int:
-        self._seq[kind] += 1
-        return self._seq[kind]
+        return min(self._next_hello, self._next_tc)
 
     def _make_hello(self) -> ControlMessage:
+        self._hello_seq += 1
         return ControlMessage(
             kind=HELLO,
             originator=self.self_id,
-            seq=self._bump_seq(HELLO),
+            seq=self._hello_seq,
             validity_time=self.config.neighb_hold_time,
             ttl=1,
             listed=_mask(self.links),
@@ -555,10 +548,11 @@ class NodeState:
         )
 
     def _make_tc(self) -> ControlMessage:
+        self._tc_seq += 1
         return ControlMessage(
             kind=TC,
             originator=self.self_id,
-            seq=self._bump_seq(TC),
+            seq=self._tc_seq,
             validity_time=self.config.top_hold_time,
             ttl=CONTROL_TTL,
             listed=_mask(self.mpr_selectors),
@@ -641,7 +635,7 @@ def compute_routing_table(state: NodeState) -> dict[int, tuple[int, int]]:
 
     Returns destination -> (next hop, hop count).  Every next hop is a
     symmetric one-hop neighbor.  Among equal-length paths the lowest
-    next-hop id wins; table iteration order is by destination id.
+    next-hop id wins.
 
     The search keeps each frontier in nondecreasing next-hop order, so the
     first frontier node to reach a destination offers the lowest next hop.
@@ -667,7 +661,7 @@ def compute_routing_table(state: NodeState) -> dict[int, tuple[int, int]]:
                     table[v] = entry
                     layer.append(v)
         frontier = layer
-    return {d: table[d] for d in sorted(table)}
+    return table
 
 
 def _expired(table: dict, now: float) -> tuple[list, float]:

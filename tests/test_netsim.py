@@ -349,22 +349,22 @@ def test_masked_verdicts_match_a_full_scan_on_every_branch(audit):
 
 
 # ---------------------------------------------------------------------------
-# one heap entry per reception set, in the order of one event per receiver
+# one heap entry per reception set, each handled whole in heap-key order
 # ---------------------------------------------------------------------------
 
 class _ArrivalOrderAudit(Simulator):
-    """Records every arrival where it is handled, as the key of the
-    per-receiver event it stands for: (time, receiver, insertion index).
+    """Records every reception set under its heap key, (time, lowest
+    receiver, first insertion index), and every arrival where it is
+    handled, as (set key, receiver).
 
     The set handler purges each receiver's state first, and handling an
     arrival purges no other node, so a purge made while a set is being
     handled marks the point where that receiver's arrival is handled."""
 
     def __init__(self, *args, **kwargs):
-        self.sets = {}      # id(payload) -> (first insertion, receivers, payload)
-        self.by_time = {}   # arrival time -> receivers of each set due then
+        self.sets = {}      # id(payload) -> (key, receivers, payload)
         self.handled = []
-        self.handling = None  # the payload of the set being handled
+        self.handling = None  # the key of the set being handled
         super().__init__(*args, **kwargs)
         for node_id, node in self.nodes.items():
             node.state.purge_expired = self._watch(node_id, node.state.purge_expired)
@@ -372,19 +372,17 @@ class _ArrivalOrderAudit(Simulator):
     def _watch(self, node_id, purge_expired):
         def watched(now):
             if self.handling is not None:
-                first, receivers, _ = self.sets[id(self.handling)]
-                self.handled.append((now, node_id, first + receivers.index(node_id)))
+                self.handled.append((self.handling, node_id))
             return purge_expired(now)
         return watched
 
     def _schedule_arrivals(self, time, receivers, payload):
         # the payload is kept, so that its id names this set alone
-        self.sets[id(payload)] = (self._insertions, receivers, payload)
-        self.by_time.setdefault(time, []).append(receivers)
+        self.sets[id(payload)] = ((time, receivers[0], self._insertions), receivers, payload)
         super()._schedule_arrivals(time, receivers, payload)
 
     def _on_frame_arrival(self, receivers, payload):
-        self.handling = payload
+        self.handling = self.sets[id(payload)][0]
         super()._on_frame_arrival(receivers, payload)
         self.handling = None
 
@@ -408,21 +406,27 @@ def tie_scenario():
     ).validate()
 
 
-def test_tied_reception_sets_are_handled_interleaved_by_receiver_id():
+def test_tied_reception_sets_are_each_handled_whole_in_key_order():
     sim = _ArrivalOrderAudit(tie_scenario(), OlsrConfig(), 1)
     metrics = sim.run()
     assert metrics.data_delivered == metrics.data_sent == 40
-    interleaved = [time for time, sets in sim.by_time.items()
+    by_time = {}
+    for (time, _, _), receivers, _ in sim.sets.values():
+        by_time.setdefault(time, []).append(receivers)
+    interleaved = [time for time, sets in by_time.items()
                    if len(sets) > 1 and sorted(sum(sets, [])) != sum(sorted(sets), [])]
     assert len(interleaved) >= 3
     # with a processing delay no arrival is scheduled at the time being
-    # handled, so one event per receiver would run in strictly rising
-    # (time, receiver, insertion index): 2, 3, 4, 5 at a tie, not 2, 4, 3, 5
-    assert sim.handled == sorted(set(sim.handled))
-    assert len(sim.handled) == sum(len(r) for _, r, _ in sim.sets.values())
+    # handled, so every set is handled once, whole and in ascending
+    # receiver order, and the sets in ascending key order: 2, 4, 3, 5 at
+    # a tie of {2, 4} and {3, 5}
+    expected = [(key, receiver) for key, receivers, _ in sorted(sim.sets.values(),
+                                                                 key=lambda s: s[0])
+                for receiver in receivers]
+    assert sim.handled == expected
 
 
-def test_tied_reception_sets_merge_by_receiver_then_insertion():
+def test_tied_reception_sets_are_handled_whole_by_lowest_receiver():
     handled = []
 
     class Recorder(Simulator):
@@ -438,8 +442,24 @@ def test_tied_reception_sets_merge_by_receiver_then_insertion():
     sim._schedule_arrivals(0.25, [4], ("d", 6))
     assert sim._insertions == 8
     sim.run()
-    assert handled == [(0.25, 4, "d"), (0.5, 0, "b"), (0.5, 1, "a"), (0.5, 2, "b"),
-                       (0.5, 2, "c"), (0.5, 3, "a"), (0.5, 4, "c"), (0.5, 5, "b")]
+    assert handled == [(0.25, 4, "d"), (0.5, 0, "b"), (0.5, 2, "b"), (0.5, 5, "b"),
+                       (0.5, 1, "a"), (0.5, 3, "a"), (0.5, 2, "c"), (0.5, 4, "c")]
+
+
+@pytest.mark.parametrize("seed,events,expected", [
+    (1, 1408, "QosMetrics(pdr=1.0, nrl=4.15, e2ed=0.006978909090909724, rpl=4.0, "
+              "data_sent=40, data_delivered=40, data_dropped=0, data_in_flight=0, "
+              "routing_tx=166)"),
+    (7, 1410, "QosMetrics(pdr=1.0, nrl=4.15, e2ed=0.006978909090909724, rpl=4.0, "
+              "data_sent=40, data_delivered=40, data_dropped=0, data_in_flight=0, "
+              "routing_tx=166)"),
+])
+def test_tie_scenario_reproduces_its_pinned_metrics(seed, events, expected):
+    # tied reception sets occur in this scenario, yet the metrics and event
+    # counts equal those of handling tied sets interleaved by receiver id
+    sim = Simulator(tie_scenario(), OlsrConfig(), seed)
+    assert repr(sim.run()) == expected
+    assert sim._insertions == events
 
 
 def test_hop_budget_drop():
@@ -761,13 +781,17 @@ def test_congested_small_event_log_is_pinned():
 
 
 @pytest.mark.parametrize("second_start,expected", [
-    # both sessions start together: session 0 leads at every shared time
+    # packets of one source due at one time are sent in the order they
+    # were scheduled.  Both sessions start together: their first packets
+    # were scheduled before the run in session order, so session 0 leads
+    # at every shared time
     (30.0, ["30.000000 0:0", "30.000000 1:0", "30.250000 0:1", "30.250000 1:1",
             "30.500000 0:2", "30.500000 1:2", "30.750000 0:3", "30.750000 1:3"]),
-    # session 1 starts one period later, when session 0 is on its second
-    # packet: session 0 still leads at every shared time
-    (30.25, ["30.000000 0:0", "30.250000 0:1", "30.250000 1:0", "30.500000 0:2",
-             "30.500000 1:1", "30.750000 0:3", "30.750000 1:2", "31.000000 1:3"]),
+    # session 1 starts one period later: its first packet was scheduled
+    # before the run, before session 0's second, so session 1 leads at
+    # every shared time from 30.25 s on
+    (30.25, ["30.000000 0:0", "30.250000 1:0", "30.250000 0:1", "30.500000 1:1",
+             "30.500000 0:2", "30.750000 1:2", "30.750000 0:3", "31.000000 1:3"]),
 ])
 def test_cbr_sessions_of_one_source_keep_their_session_order(second_start, expected):
     spec = ScenarioSpec(

@@ -467,7 +467,7 @@ def test_emission_schedule_without_jitter():
     out = []
     for t in (2.0, 4.0, 6.0):
         messages = state.emit_periodic(t)
-        out.append((t, [m.kind for m in messages], state._next_emit[HELLO]))
+        out.append((t, [m.kind for m in messages], state._next_hello))
     assert out == [(2.0, [HELLO], 4.0), (4.0, [HELLO], 6.0), (6.0, [HELLO], 8.0)]
 
 
@@ -481,7 +481,7 @@ def test_tc_withheld_until_someone_selects_us():
     state = NodeState(1, OlsrConfig())
     messages = state.emit_periodic(5.0)
     assert [m.kind for m in messages] == [HELLO]   # TC due but suppressed
-    assert state._next_emit[TC] == 10.0            # schedule ticks anyway
+    assert state._next_tc == 10.0                  # schedule ticks anyway
     state.process_message(hello(2, mpr=[1]), 2, 6.0)
     messages = state.emit_periodic(10.0)
     kinds = {m.kind for m in messages}
@@ -513,7 +513,7 @@ def test_emission_jitter_stays_within_quarter_interval():
     cfg = OlsrConfig(hello_interval=8.0)
     for _ in range(200):
         state = NodeState(1, cfg, now=100.0, rng=rng)
-        first = state._next_emit[HELLO]
+        first = state._next_hello
         assert 100.0 + 6.0 <= first <= 100.0 + 8.0
 
 
