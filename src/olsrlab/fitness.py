@@ -67,7 +67,7 @@ class OlsrObjective:
     state between calls, so one objective can serve any number of searches.
     """
 
-    def __init__(self, scenario: ScenarioSpec, seeds=(0,)):
+    def __init__(self, scenario: ScenarioSpec, seeds: tuple[int, ...]):
         if not seeds:
             raise ValueError("at least one simulation seed is required")
         self.scenario = scenario

@@ -188,7 +188,7 @@ class Simulator:
         self._candidates = None  # built on the first run, cached on the trace
         self.nodes: dict[int, _SimNode] = {}
         for node_id in self.scenario.trace.nodes:
-            state = NodeState(node_id, config, now=0.0, rng=self.rng)
+            state = NodeState(node_id, config, rng=self.rng)
             self.nodes[node_id] = _SimNode(node_id, state)
 
     # -- event plumbing -------------------------------------------------

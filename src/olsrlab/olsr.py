@@ -111,7 +111,7 @@ class ControlMessage:
     listed: int
     symmetric_listed: int = 0
     mpr_listed: int = 0
-    willingness: int | None = None
+    willingness: int = WILL_DEFAULT
 
     @property
     def size_bytes(self) -> int:
@@ -265,7 +265,7 @@ class NodeState:
     the start of every handler that reads it, and nothing else reads it.
     """
 
-    def __init__(self, self_id: int, config: OlsrConfig, *, now: float = 0.0, rng=None):
+    def __init__(self, self_id: int, config: OlsrConfig, *, rng=None):
         self.self_id = self_id
         self.config = config
         # neighbor id -> link expiry
@@ -298,8 +298,8 @@ class NodeState:
         self._routing_stale = False
         # the last sequence number sent, and the next emission time, per kind
         self._hello_seq = self._tc_seq = 0
-        self._next_hello = now + config.hello_interval - _jitter(rng, config.hello_interval)
-        self._next_tc = now + config.tc_interval - _jitter(rng, config.tc_interval)
+        self._next_hello = config.hello_interval - _jitter(rng, config.hello_interval)
+        self._next_tc = config.tc_interval - _jitter(rng, config.tc_interval)
 
     # -- views ---------------------------------------------------------
 
@@ -308,7 +308,7 @@ class NodeState:
         will = self.neighbor_willingness
         neighbors = {}
         mask = self.symmetric
-        while mask:  # a bit loop, not _ids: this runs for every HELLO
+        while mask:  # a bit loop, not _ids: this runs for every relay selection
             low = mask & -mask
             n = low.bit_length() - 1
             neighbors[n] = will[n]
@@ -381,7 +381,7 @@ class NodeState:
                 symmetric = old_symmetric | bit
             else:
                 symmetric = old_symmetric & ~bit
-            will = msg.willingness if msg.willingness is not None else WILL_DEFAULT
+            will = msg.willingness
             will_changed = self.neighbor_willingness.get(sender) != will
             if will_changed:
                 self.neighbor_willingness[sender] = will

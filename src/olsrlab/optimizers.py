@@ -35,8 +35,8 @@ POPULATION_BASED = ("PSO", "DE", "GA")
 RUN_FORMAT = "olsrlab-run v1"
 
 
-# Each algorithm runs at fixed hyperparameters; the step functions take them
-# as keyword defaults so tests can zero a coefficient.
+# Each algorithm runs at these fixed hyperparameters.  The step functions
+# read them at call time, so each value has this one source.
 # PSO
 INERTIA = 0.50
 COGNITIVE_COEF = 2.0
@@ -210,9 +210,7 @@ class _Recorder:
 
 # -- step functions ---------------------------------------------------------
 
-def pso_step(positions, velocities, personal_best, global_best, lo, hi, rng,
-             inertia: float = INERTIA, cognitive_coef: float = COGNITIVE_COEF,
-             social_coef: float = SOCIAL_COEF):
+def pso_step(positions, velocities, personal_best, global_best, lo, hi, rng):
     """One velocity/position update of the whole swarm (no evaluation).
 
     Velocities are clamped to +-(hi-lo) per dimension; positions are
@@ -224,9 +222,9 @@ def pso_step(positions, velocities, personal_best, global_best, lo, hi, rng,
     shape = positions.shape
     r1 = rng.random(shape)
     r2 = rng.random(shape)
-    vel = (inertia * velocities
-           + cognitive_coef * r1 * (personal_best - positions)
-           + social_coef * r2 * (global_best - positions))
+    vel = (INERTIA * velocities
+           + COGNITIVE_COEF * r1 * (personal_best - positions)
+           + SOCIAL_COEF * r2 * (global_best - positions))
     vel = np.clip(vel, -span, span)
     pos = positions + vel
     out = (pos < lo) | (pos > hi)
@@ -235,8 +233,7 @@ def pso_step(positions, velocities, personal_best, global_best, lo, hi, rng,
     return pos, vel
 
 
-def de_step(population, costs, evaluate, lo, hi, rng,
-            crossover_rate: float = CROSSOVER_RATE, diff_weight: float = DIFF_WEIGHT):
+def de_step(population, costs, evaluate, lo, hi, rng):
     """One rand/1/bin generation with greedy (<=) selection, in place."""
     import numpy as np
 
@@ -244,8 +241,8 @@ def de_step(population, costs, evaluate, lo, hi, rng,
     for i in range(size):
         others = [j for j in range(size) if j != i]
         r1, r2, r3 = rng.choice(others, size=3, replace=False)
-        mutant = population[r1] + diff_weight * (population[r2] - population[r3])
-        cross = rng.random(dims) < crossover_rate
+        mutant = population[r1] + DIFF_WEIGHT * (population[r2] - population[r3])
+        cross = rng.random(dims) < CROSSOVER_RATE
         cross[rng.integers(dims)] = True
         trial = np.clip(np.where(cross, mutant, population[i]), lo, hi)
         cost = evaluate(trial)
@@ -255,8 +252,7 @@ def de_step(population, costs, evaluate, lo, hi, rng,
     return population, costs
 
 
-def ga_step(population, costs, evaluate, lo, hi, rng,
-            crossover_prob: float = CROSSOVER_PROB, mutation_prob: float = MUTATION_PROB):
+def ga_step(population, costs, evaluate, lo, hi, rng):
     """One generational replacement: tournaments, blend crossover, reset
     mutation, elitism of one.  The elite is re-evaluated with the rest so
     every generation costs exactly ``population`` evaluations."""
@@ -271,7 +267,7 @@ def ga_step(population, costs, evaluate, lo, hi, rng,
     children = [population[int(np.argmin(costs))].copy()]
     while len(children) < size:
         p1, p2 = tournament(), tournament()
-        if rng.random() < crossover_prob:
+        if rng.random() < CROSSOVER_PROB:
             alpha = rng.random()
             c1 = alpha * p1 + (1.0 - alpha) * p2
             c2 = (1.0 - alpha) * p1 + alpha * p2
@@ -280,7 +276,7 @@ def ga_step(population, costs, evaluate, lo, hi, rng,
         for child in (c1, c2):
             if len(children) >= size:
                 break
-            mask = rng.random(dims) < mutation_prob
+            mask = rng.random(dims) < MUTATION_PROB
             for d in np.nonzero(mask)[0]:
                 child[d] = rng.uniform(lo[d], hi[d])
             children.append(np.clip(child, lo, hi))
@@ -289,25 +285,23 @@ def ga_step(population, costs, evaluate, lo, hi, rng,
     return new_pop, new_costs
 
 
-def _neighbor(current, lo, hi, rng, sigma: float):
-    """A Gaussian step of ``sigma`` times the box width, clamped into the box."""
+def _neighbor(current, lo, hi, rng):
+    """A Gaussian step of ``NEIGHBORHOOD_SIGMA`` box widths, clamped into the box."""
     import numpy as np
 
-    return np.clip(current + rng.normal(0.0, sigma * (hi - lo)), lo, hi)
+    return np.clip(current + rng.normal(0.0, NEIGHBORHOOD_SIGMA * (hi - lo)), lo, hi)
 
 
-def sa_step(current, current_cost, temperature, step_index, evaluate, lo, hi, rng,
-            neighborhood_sigma: float = NEIGHBORHOOD_SIGMA,
-            temp_decay: float = TEMP_DECAY, epoch_length: int = EPOCH_LENGTH):
+def sa_step(current, current_cost, temperature, step_index, evaluate, lo, hi, rng):
     """One annealing move: Gaussian neighbor, Metropolis acceptance, and
-    geometric cooling every ``epoch_length`` steps."""
-    neighbor = _neighbor(current, lo, hi, rng, neighborhood_sigma)
+    geometric cooling every ``EPOCH_LENGTH`` steps."""
+    neighbor = _neighbor(current, lo, hi, rng)
     cost = evaluate(neighbor)
     delta = cost - current_cost
     if delta <= 0 or rng.random() < math.exp(-delta / temperature):
         current, current_cost = neighbor, cost
-    if (step_index + 1) % epoch_length == 0:
-        temperature *= temp_decay
+    if (step_index + 1) % EPOCH_LENGTH == 0:
+        temperature *= TEMP_DECAY
     return current, current_cost, temperature
 
 
@@ -365,7 +359,7 @@ def _drive_sa(rec, cfg, rng, lo, hi):
     uphill = []
     best = (current_cost, current)
     for _ in range(CALIBRATION_PROBES):
-        probe = _neighbor(current, lo, hi, rng, NEIGHBORHOOD_SIGMA)
+        probe = _neighbor(current, lo, hi, rng)
         cost = rec(probe)
         if cost > current_cost:
             uphill.append(cost - current_cost)

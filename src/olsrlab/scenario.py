@@ -214,12 +214,12 @@ class MobilityTrace:
         self._candidates[tx_range] = candidates
         return candidates
 
-    def validate(self, *, bounds: tuple[float, float] | None = None,
-                 nodes: int | None = None) -> "MobilityTrace":
-        if nodes is not None and set(self.waypoints) != set(range(nodes)):
+    def validate(self, *, bounds: tuple[float, float], nodes: int) -> "MobilityTrace":
+        if set(self.waypoints) != set(range(nodes)):
             raise ValueError(
                 f"trace covers nodes {sorted(self.waypoints)}, expected 0..{nodes - 1}"
             )
+        w, h = bounds
         for node, points in self.waypoints.items():
             if not points:
                 raise ValueError(f"node {node} has no waypoints")
@@ -233,10 +233,8 @@ class MobilityTrace:
                 if last is not None and t <= last:
                     raise ValueError(f"node {node}: waypoint times not increasing at t={t}")
                 last = t
-                if bounds is not None:
-                    w, h = bounds
-                    if not (-1e-9 <= x <= w + 1e-9 and -1e-9 <= y <= h + 1e-9):
-                        raise ValueError(f"node {node}: position ({x}, {y}) outside {w}x{h}")
+                if not (-1e-9 <= x <= w + 1e-9 and -1e-9 <= y <= h + 1e-9):
+                    raise ValueError(f"node {node}: position ({x}, {y}) outside {w}x{h}")
         return self
 
 

@@ -793,7 +793,7 @@ def test_congested_small_event_log_is_pinned():
     (30.25, ["30.000000 0:0", "30.250000 1:0", "30.250000 0:1", "30.500000 1:1",
              "30.500000 0:2", "30.750000 1:2", "30.750000 0:3", "31.000000 1:3"]),
 ])
-def test_cbr_sessions_of_one_source_keep_their_session_order(second_start, expected):
+def test_cbr_packets_of_one_source_go_in_scheduling_order(second_start, expected):
     spec = ScenarioSpec(
         name="shared-source",
         area=(300.0, 100.0),

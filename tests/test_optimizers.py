@@ -104,24 +104,28 @@ def test_every_candidate_stays_inside_the_box(algorithm):
 # step mechanics
 # ---------------------------------------------------------------------------
 
-def test_pso_step_with_zero_coefficients_is_a_fixed_point():
+def test_pso_step_with_zero_coefficients_is_a_fixed_point(monkeypatch):
+    monkeypatch.setattr(optimizers, "INERTIA", 0.5)
+    monkeypatch.setattr(optimizers, "COGNITIVE_COEF", 0.0)
+    monkeypatch.setattr(optimizers, "SOCIAL_COEF", 0.0)
     lo, hi = symmetric_space()
     rng = np.random.default_rng(0)
     pos = np.array([[1.0, -2.0, 3.0, 0.5], [0.0, 0.0, 4.0, -4.0]])
     vel = np.zeros_like(pos)
-    new_pos, new_vel = pso_step(pos, vel, pos.copy(), pos[0], lo, hi, rng,
-                                inertia=0.5, cognitive_coef=0.0, social_coef=0.0)
+    new_pos, new_vel = pso_step(pos, vel, pos.copy(), pos[0], lo, hi, rng)
     assert np.array_equal(new_pos, pos)
     assert np.array_equal(new_vel, vel)
 
 
-def test_pso_step_zeroes_velocity_on_the_wall():
+def test_pso_step_zeroes_velocity_on_the_wall(monkeypatch):
+    monkeypatch.setattr(optimizers, "INERTIA", 1.0)
+    monkeypatch.setattr(optimizers, "COGNITIVE_COEF", 0.0)
+    monkeypatch.setattr(optimizers, "SOCIAL_COEF", 0.0)
     lo, hi = symmetric_space()
     rng = np.random.default_rng(0)
     pos = np.array([[5.0, 0.0, 0.0, 0.0]])
     vel = np.array([[3.0, 0.0, 0.0, 0.0]])  # would overshoot the upper bound
-    new_pos, new_vel = pso_step(pos, vel, pos.copy(), pos[0], lo, hi, rng,
-                                inertia=1.0, cognitive_coef=0.0, social_coef=0.0)
+    new_pos, new_vel = pso_step(pos, vel, pos.copy(), pos[0], lo, hi, rng)
     assert new_pos[0, 0] == 5.0
     assert new_vel[0, 0] == 0.0
 
@@ -174,6 +178,88 @@ def test_sa_step_hot_accepts_uphill_moves():
     current, cost, _ = sa_step(np.zeros(4), 0.0, 1e12, 0, sphere, lo, hi, rng)
     assert cost > 0.0
     assert not np.array_equal(current, np.zeros(4))
+
+
+def _pso_stays_put(velocity=0.0, personal=0.0, social=0.0):
+    """Whether one PSO step leaves a particle where it is and at rest, given
+    its velocity and the offsets of its personal and the global best."""
+    lo, hi = symmetric_space()
+    pos = np.array([[1.0, -2.0, 3.0, 0.5]])
+    new_pos, new_vel = pso_step(pos, np.full_like(pos, velocity), pos + personal,
+                                pos[0] + social, lo, hi, np.random.default_rng(0))
+    return np.array_equal(new_pos, pos) and not new_vel.any()
+
+
+def _de_trials():
+    """A population and the trials one DE generation evaluated on it; every
+    trial costs more than its target, so none replaces it."""
+    lo, hi = symmetric_space(dims=6)
+    rng = np.random.default_rng(4)
+    population = rng.uniform(-4, 4, size=(8, 6))
+    trials = []
+    de_step(population.copy(), np.zeros(8), lambda t: trials.append(t) or 1.0, lo, hi, rng)
+    return population, np.array(trials)
+
+
+def _ga_children(population):
+    lo, hi = symmetric_space()
+    children, _ = ga_step(population, np.arange(len(population), dtype=float),
+                          lambda c: 0.0, lo, hi, np.random.default_rng(5))
+    return children
+
+
+def _ga_children_copy_members():
+    """Whether every child of one GA generation equals a member in all but at
+    most one coordinate, as when no child is a blend."""
+    population = np.random.default_rng(3).uniform(-4, 4, size=(10, 4))
+    return all(max((child == member).sum() for member in population) >= 3
+               for child in _ga_children(population))
+
+
+def _ga_children_all_mutated():
+    """Whether every gene of every child but the elite is redrawn, from a
+    population of one repeated point that blending cannot leave."""
+    point = np.array([1.0, -2.0, 3.0, 0.5])
+    children = _ga_children(np.tile(point, (10, 1)))
+    return not np.isclose(children[1:], point).any()
+
+
+def _sa_move(step_index=0):
+    """The point one SA step proposed from the origin, and the temperature it
+    left of a start at 1."""
+    lo, hi = symmetric_space()
+    proposals = []
+    _, _, temperature = sa_step(np.zeros(4), 0.0, 1.0, step_index,
+                                lambda x: proposals.append(x) or 0.0, lo, hi,
+                                np.random.default_rng(6))
+    return proposals[0], temperature
+
+
+# each hyperparameter: a value, and a behaviour of the step that reads it that
+# shows at that value and not at the shipped one
+HYPERPARAMETERS = {
+    "INERTIA": (0.0, lambda: _pso_stays_put(velocity=1.0)),
+    "COGNITIVE_COEF": (0.0, lambda: _pso_stays_put(personal=1.0)),
+    "SOCIAL_COEF": (0.0, lambda: _pso_stays_put(social=1.0)),
+    # a trial takes only its forced coordinate from the mutant
+    "CROSSOVER_RATE": (0.0, lambda: all((t != p).sum() <= 1 for p, t in zip(*_de_trials()))),
+    # the mutant is a member, so every trial coordinate is a member's
+    "DIFF_WEIGHT": (0.0, lambda: all(np.isin(t, p).all()
+                                     for p, t in zip(*(a.T for a in _de_trials())))),
+    "CROSSOVER_PROB": (0.0, _ga_children_copy_members),
+    "MUTATION_PROB": (1.0, _ga_children_all_mutated),
+    "NEIGHBORHOOD_SIGMA": (0.0, lambda: not _sa_move()[0].any()),
+    "EPOCH_LENGTH": (1, lambda: _sa_move()[1] < 1.0),
+    "TEMP_DECAY": (0.5, lambda: _sa_move(optimizers.EPOCH_LENGTH - 1)[1] == 0.5),
+}
+
+
+@pytest.mark.parametrize("name", HYPERPARAMETERS)
+def test_each_step_reads_its_hyperparameters_at_call_time(name, monkeypatch):
+    value, shows = HYPERPARAMETERS[name]
+    assert not shows()
+    monkeypatch.setattr(optimizers, name, value)
+    assert shows()
 
 
 # ---------------------------------------------------------------------------

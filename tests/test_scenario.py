@@ -32,15 +32,16 @@ def test_trace_validate_enforces_node_set_bounds_and_time_order():
     trace = MobilityTrace({0: [(0.0, 10.0, 10.0)], 1: [(0.0, 20.0, 20.0), (5.0, 30.0, 30.0)]})
     assert trace.validate(nodes=2, bounds=(50.0, 50.0)) is trace
     with pytest.raises(ValueError, match="expected 0..2"):
-        trace.validate(nodes=3)
+        trace.validate(nodes=3, bounds=(50.0, 50.0))
     with pytest.raises(ValueError, match="outside"):
-        MobilityTrace({0: [(0.0, 500.0, 10.0)]}).validate(bounds=(400.0, 300.0))
+        MobilityTrace({0: [(0.0, 500.0, 10.0)]}).validate(nodes=1, bounds=(400.0, 300.0))
     with pytest.raises(ValueError, match="outside"):
-        MobilityTrace({0: [(0.0, -4.0, 20.0)]}).validate(bounds=(400.0, 300.0))
+        MobilityTrace({0: [(0.0, -4.0, 20.0)]}).validate(nodes=1, bounds=(400.0, 300.0))
     with pytest.raises(ValueError, match="not increasing"):
-        MobilityTrace({0: [(5.0, 1.0, 1.0), (5.0, 2.0, 2.0)]}).validate()
+        MobilityTrace({0: [(5.0, 1.0, 1.0), (5.0, 2.0, 2.0)]}).validate(
+            nodes=1, bounds=(50.0, 50.0))
     with pytest.raises(ValueError, match="no waypoints"):
-        MobilityTrace({0: [(0.0, 1.0, 1.0)], 1: []}).validate()
+        MobilityTrace({0: [(0.0, 1.0, 1.0)], 1: []}).validate(nodes=2, bounds=(50.0, 50.0))
 
 
 @pytest.mark.parametrize("point", [
@@ -55,7 +56,7 @@ def test_trace_validate_enforces_node_set_bounds_and_time_order():
 def test_trace_validate_refuses_a_waypoint_that_is_not_three_finite_numbers(point):
     trace = MobilityTrace({0: [(0.0, 10.0, 10.0)], 1: [(0.0, 90.0, 20.0), point]})
     with pytest.raises(ValueError, match=r"^node 1: waypoint .* three finite numbers"):
-        trace.validate()
+        trace.validate(nodes=2, bounds=(100.0, 100.0))
 
 
 def test_position_interpolates_and_clamps():
